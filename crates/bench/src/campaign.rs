@@ -1070,7 +1070,7 @@ mod tests {
     /// A degenerate single-processor platform with degree-1 replication
     /// takes the homogeneous code path outright: every numeric field is
     /// **bit identical** to the platform-less run (the engine-level anchor
-    /// of the golden-CSV acceptance criterion).
+    /// of the golden-CSV acceptance check).
     #[test]
     fn degenerate_platform_cells_reproduce_homogeneous_rows_bitwise() {
         use crate::scenario::{PlatformSpec, ReplicationSpec};

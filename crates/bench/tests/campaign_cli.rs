@@ -141,17 +141,72 @@ fn spec_file_campaign_runs_end_to_end() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The checked-in example spec stays valid.
+/// Every checked-in example spec stays valid and runs end to end through
+/// the CLI.
 #[test]
 fn example_campaign_spec_parses() {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../examples/campaigns/chain_sweep.json");
-    let text = std::fs::read_to_string(&path).expect("example spec exists");
-    let campaign = dagchkpt_bench::Campaign::from_json(&text).expect("example spec parses");
-    assert_eq!(campaign.name, "chain_sweep");
-    for stage in &campaign.stages {
-        if let dagchkpt_bench::Stage::Scenario { scenario, .. } = stage {
-            scenario.validate().expect("example scenario is valid");
+    let examples =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/campaigns");
+    let mut specs: Vec<PathBuf> = std::fs::read_dir(&examples)
+        .expect("examples/campaigns exists")
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    specs.sort();
+    assert!(specs.len() >= 6, "examples went missing: {specs:?}");
+    let dir = tmpdir("examples");
+    for path in &specs {
+        let text = std::fs::read_to_string(path).expect("example spec exists");
+        let campaign = dagchkpt_bench::Campaign::from_json(&text).expect("example spec parses");
+        for stage in &campaign.stages {
+            if let dagchkpt_bench::Stage::Scenario { scenario, .. } = stage {
+                scenario.validate().expect("example scenario is valid");
+            }
         }
+        let out = bench_bin()
+            .args(["--spec", path.to_str().unwrap()])
+            .args(["--out", dir.to_str().unwrap(), "--no-charts"])
+            .output()
+            .expect("run");
+        assert!(
+            out.status.success(),
+            "{}: {}",
+            path.display(),
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The release path of a built-in campaign, byte for byte: the binary's
+/// CSV equals the pinned golden corpus (`tests/golden_campaigns.rs`
+/// byte-checks every campaign in process).
+#[test]
+fn builtin_campaign_cli_output_matches_golden_csv() {
+    let dir = tmpdir("golden_hetero");
+    let out = bench_bin()
+        .args([
+            "--campaign",
+            "hetero_replication",
+            "--quick",
+            "--seed",
+            "42",
+        ])
+        .args(["--out", dir.to_str().unwrap(), "--no-charts"])
+        .output()
+        .expect("run");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden/quick/hetero_replication.csv");
+    let want = std::fs::read(golden).expect("golden CSV exists");
+    let got = std::fs::read(dir.join("hetero_replication.csv")).expect("CSV written");
+    assert!(
+        got == want,
+        "hetero_replication.csv drifted from the golden corpus"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

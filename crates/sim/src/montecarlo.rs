@@ -4,9 +4,8 @@
 //! time-breakdown sum) as they are produced, so memory is `O(chunks)` —
 //! never an `O(trials)` buffer of [`SimResult`]s. Chunk boundaries come
 //! from [`rayon::fold_chunk_len`], a pure function of the trial count, and
-//! accumulators merge in chunk order; the sequential path replicates the
-//! exact same grouping, which is why parallel and sequential statistics are
-//! bit-identical for any thread count.
+//! accumulators merge in chunk order, which is why the statistics are
+//! bit-identical for any thread count (`tests/thread_identity.rs`).
 
 use crate::quantile::QuantileSketch;
 use crate::stats::Stats;
@@ -15,8 +14,9 @@ use dagchkpt_core::{Schedule, Workflow};
 use dagchkpt_failure::{ExponentialInjector, FaultInjector, FaultModel};
 use rayon::prelude::*;
 
-/// How many trials to run, how to seed them, and whether to fan them out
-/// over the rayon thread pool.
+/// How many trials to run and how to seed them. Every trial owns a seed
+/// derived only from `(seed, i)`, so the aggregate never depends on how
+/// the trials are spread over the rayon thread pool.
 #[derive(Debug, Clone, Copy)]
 pub struct TrialSpec {
     /// Number of independent trials.
@@ -24,39 +24,12 @@ pub struct TrialSpec {
     /// Master seed; trial `i` is seeded with a SplitMix64 scramble of
     /// `(seed, i)` so streams are decorrelated.
     pub seed: u64,
-    /// Run trials on the rayon thread pool (`true`, the default) or on the
-    /// calling thread (`false`). Because every trial owns a seed derived
-    /// only from `(seed, i)`, and both paths fold results into per-chunk
-    /// accumulators over the same item-count-derived chunk boundaries
-    /// (merged in chunk order), they produce **bit-identical** statistics
-    /// — the parallel path is purely a wall-clock optimization
-    /// (`tests::parallel_and_sequential_paths_are_bit_identical`).
-    pub parallel: bool,
 }
 
 impl TrialSpec {
-    /// `trials` trials from `seed`, fanned out over the thread pool.
+    /// `trials` trials from `seed`.
     pub fn new(trials: usize, seed: u64) -> Self {
-        TrialSpec {
-            trials,
-            seed,
-            parallel: true,
-        }
-    }
-
-    /// `trials` trials from `seed` on the calling thread only.
-    pub fn sequential(trials: usize, seed: u64) -> Self {
-        TrialSpec {
-            trials,
-            seed,
-            parallel: false,
-        }
-    }
-
-    /// Same spec with the parallelism knob set to `parallel`.
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self
+        TrialSpec { trials, seed }
     }
 
     /// Seed for the `i`-th trial (SplitMix64 finalizer).
@@ -168,58 +141,6 @@ impl TrialAccum {
     }
 }
 
-/// Sequential twin of the executor's chunked `fold(..).reduce(..)`: the
-/// same [`rayon::fold_chunk_len`] boundaries, per-chunk accumulation, and
-/// in-order merge — the bit-identity anchor for
-/// `TrialSpec { parallel: false }`.
-pub(crate) fn fold_sequential_chunks<A>(
-    n: usize,
-    identity: impl Fn() -> A,
-    push: impl Fn(A, usize) -> A,
-    merge: impl Fn(A, A) -> A,
-) -> A {
-    let chunk = rayon::fold_chunk_len(n);
-    let mut merged = identity();
-    let mut lo = 0;
-    while lo < n {
-        let hi = (lo + chunk).min(n);
-        let mut acc = identity();
-        for i in lo..hi {
-            acc = push(acc, i);
-        }
-        merged = merge(merged, acc);
-        lo = hi;
-    }
-    merged
-}
-
-/// Sequential twin of the executor's `fold_chunk_states(..).reduce(..)`:
-/// the same [`rayon::fold_chunk_len`] boundaries, one `init()` state per
-/// chunk, and the in-order merge — the bit-identity anchor of the scratch
-/// fast path for `TrialSpec { parallel: false }`.
-pub(crate) fn fold_sequential_chunk_states<St, A>(
-    n: usize,
-    init: impl Fn() -> St,
-    step: impl Fn(&mut St, usize),
-    finish: impl Fn(St) -> A,
-    identity: impl Fn() -> A,
-    merge: impl Fn(A, A) -> A,
-) -> A {
-    let chunk = rayon::fold_chunk_len(n);
-    let mut merged = identity();
-    let mut lo = 0;
-    while lo < n {
-        let hi = (lo + chunk).min(n);
-        let mut state = init();
-        for i in lo..hi {
-            step(&mut state, i);
-        }
-        merged = merge(merged, finish(state));
-        lo = hi;
-    }
-    merged
-}
-
 /// One fold chunk's buffered trial results, stored field-major so the
 /// end-of-chunk flush feeds each accumulator a contiguous slice
 /// ([`Stats::push_slice`] / [`QuantileSketch::push_slice`]). Buffers are
@@ -263,8 +184,7 @@ impl ChunkSamples {
 /// [`ChunkSamples`] flushed through the batched accumulators at chunk end.
 /// Chunk boundaries and the chunk-ordered merge are identical to the
 /// historical per-item fold, so the statistics are bit-identical to what
-/// the reference path produced — for any `RAYON_NUM_THREADS` and for the
-/// sequential path.
+/// the reference path produced — for any `RAYON_NUM_THREADS`.
 pub(crate) fn planned_result_stats<St, IF, F>(
     spec: TrialSpec,
     make_scratch: IF,
@@ -282,22 +202,11 @@ where
         state.1.push(r);
     };
     let finish = |state: (St, ChunkSamples)| TrialAccum::from_chunk(&state.1);
-    let acc = if spec.parallel {
-        (0..spec.trials)
-            .into_par_iter()
-            .fold_chunk_states(init, step, finish)
-            .reduce(TrialAccum::identity, TrialAccum::merge)
-    } else {
-        fold_sequential_chunk_states(
-            spec.trials,
-            init,
-            step,
-            finish,
-            TrialAccum::identity,
-            TrialAccum::merge,
-        )
-    };
-    acc.into_trial_stats()
+    (0..spec.trials)
+        .into_par_iter()
+        .fold_chunk_states(init, step, finish)
+        .reduce(TrialAccum::identity, TrialAccum::merge)
+        .into_trial_stats()
 }
 
 /// Scratch-arena twin of [`trial_metric_tail_stats`]: one per-chunk
@@ -329,14 +238,10 @@ where
     let identity = || (Stats::new(), QuantileSketch::new());
     let merge =
         |a: (Stats, QuantileSketch), b: (Stats, QuantileSketch)| (a.0.merge(b.0), a.1.merge(b.1));
-    if spec.parallel {
-        (0..spec.trials)
-            .into_par_iter()
-            .fold_chunk_states(init, step, finish)
-            .reduce(identity, merge)
-    } else {
-        fold_sequential_chunk_states(spec.trials, init, step, finish, identity, merge)
-    }
+    (0..spec.trials)
+        .into_par_iter()
+        .fold_chunk_states(init, step, finish)
+        .reduce(identity, merge)
 }
 
 /// Runs `spec.trials` simulations under the exponential `model`
@@ -388,9 +293,9 @@ where
 
 /// Folds an arbitrary per-trial metric into [`Stats`] with the same
 /// deterministic chunk grouping as [`run_trials_with`]: `metric(i)` runs
-/// for every `i ∈ 0..spec.trials` (in parallel when `spec.parallel`), and
-/// per-chunk accumulators merge in chunk order, so the result is
-/// bit-identical for any thread count and for the sequential path.
+/// for every `i ∈ 0..spec.trials` in parallel, and per-chunk accumulators
+/// merge in chunk order, so the result is bit-identical for any thread
+/// count.
 pub fn trial_metric_stats<F>(spec: TrialSpec, metric: F) -> Stats
 where
     F: Fn(usize) -> f64 + Sync,
@@ -416,15 +321,11 @@ where
     };
     let merge =
         |a: (Stats, QuantileSketch), b: (Stats, QuantileSketch)| (a.0.merge(b.0), a.1.merge(b.1));
-    if spec.parallel {
-        (0..spec.trials)
-            .into_par_iter()
-            .map(&metric)
-            .fold(identity, push)
-            .reduce(identity, merge)
-    } else {
-        fold_sequential_chunks(spec.trials, identity, |acc, i| push(acc, metric(i)), merge)
-    }
+    (0..spec.trials)
+        .into_par_iter()
+        .map(&metric)
+        .fold(identity, push)
+        .reduce(identity, merge)
 }
 
 #[cfg(test)]
@@ -446,29 +347,27 @@ mod tests {
 
     /// Satellite fix: zero trials used to report a contradictory aggregate
     /// (all-zero breakdown next to a NaN makespan mean); now every mean is
-    /// NaN and the counts are 0, on both paths.
+    /// NaN and the counts are 0.
     #[test]
     fn zero_trials_yield_a_coherent_empty_aggregate() {
         let wf = Workflow::uniform(generators::chain(3), 10.0, 1.0);
         let order = topo::topological_order(wf.dag());
         let s = Schedule::always(&wf, order).unwrap();
-        for spec in [TrialSpec::new(0, 1), TrialSpec::sequential(0, 1)] {
-            let stats = run_trials_with(&wf, &s, 0.0, spec, |_| NoFaults);
-            assert_eq!(stats.makespan.n(), 0);
-            assert_eq!(stats.faults.n(), 0);
-            assert!(stats.makespan.mean().is_nan());
-            assert!(stats.faults.mean().is_nan());
-            assert!(
-                stats.mean_breakdown.iter().all(|v| v.is_nan()),
-                "breakdown must be NaN when no trials ran: {:?}",
-                stats.mean_breakdown
-            );
-            assert_eq!(stats.tail.count(), 0);
-            assert!(
-                stats.tail.p50().is_nan() && stats.tail.p95().is_nan() && stats.tail.p99().is_nan(),
-                "empty tail sketch must report NaN quantiles"
-            );
-        }
+        let stats = run_trials_with(&wf, &s, 0.0, TrialSpec::new(0, 1), |_| NoFaults);
+        assert_eq!(stats.makespan.n(), 0);
+        assert_eq!(stats.faults.n(), 0);
+        assert!(stats.makespan.mean().is_nan());
+        assert!(stats.faults.mean().is_nan());
+        assert!(
+            stats.mean_breakdown.iter().all(|v| v.is_nan()),
+            "breakdown must be NaN when no trials ran: {:?}",
+            stats.mean_breakdown
+        );
+        assert_eq!(stats.tail.count(), 0);
+        assert!(
+            stats.tail.p50().is_nan() && stats.tail.p95().is_nan() && stats.tail.p99().is_nan(),
+            "empty tail sketch must report NaN quantiles"
+        );
     }
 
     #[test]
@@ -477,31 +376,30 @@ mod tests {
         let order = topo::topological_order(wf.dag());
         let s = Schedule::always(&wf, order).unwrap();
         let model = FaultModel::new(3e-3, 1.0);
-        for spec in [TrialSpec::new(512, 5), TrialSpec::sequential(512, 5)] {
-            let direct = run_trials(&wf, &s, model, spec);
-            let via_metric = trial_metric_stats(spec, |i| {
-                let mut inj = ExponentialInjector::new(model.lambda(), spec.trial_seed(i));
-                simulate(
-                    &wf,
-                    &s,
-                    &mut inj,
-                    SimConfig {
-                        downtime: model.downtime(),
-                        record_trace: false,
-                    },
-                )
-                .makespan
-            });
-            assert_eq!(
-                direct.makespan.mean().to_bits(),
-                via_metric.mean().to_bits()
-            );
-            assert_eq!(
-                direct.makespan.stddev().to_bits(),
-                via_metric.stddev().to_bits()
-            );
-            assert_eq!(direct.makespan.n(), via_metric.n());
-        }
+        let spec = TrialSpec::new(512, 5);
+        let direct = run_trials(&wf, &s, model, spec);
+        let via_metric = trial_metric_stats(spec, |i| {
+            let mut inj = ExponentialInjector::new(model.lambda(), spec.trial_seed(i));
+            simulate(
+                &wf,
+                &s,
+                &mut inj,
+                SimConfig {
+                    downtime: model.downtime(),
+                    record_trace: false,
+                },
+            )
+            .makespan
+        });
+        assert_eq!(
+            direct.makespan.mean().to_bits(),
+            via_metric.mean().to_bits()
+        );
+        assert_eq!(
+            direct.makespan.stddev().to_bits(),
+            via_metric.stddev().to_bits()
+        );
+        assert_eq!(direct.makespan.n(), via_metric.n());
     }
 
     #[test]
@@ -559,44 +457,6 @@ mod tests {
                 report.expected_faults
             );
         }
-    }
-
-    /// The acceptance property of the `parallel` knob: for a fixed seed the
-    /// parallel and sequential paths produce bit-identical statistics,
-    /// regardless of thread count or scheduling.
-    #[test]
-    fn parallel_and_sequential_paths_are_bit_identical() {
-        let wf = Workflow::with_cost_rule(
-            generators::paper_figure1(),
-            vec![10.0, 20.0, 5.0, 30.0, 8.0, 12.0, 25.0, 9.0],
-            CostRule::ProportionalToWork { ratio: 0.1 },
-        );
-        let model = FaultModel::new(4e-3, 1.5);
-        let order = topo::topological_order(wf.dag());
-        let ckpt = FixedBitSet::from_indices(8, [0usize, 3, 5]);
-        let s = Schedule::new(&wf, order, ckpt).unwrap();
-        let par = run_trials(&wf, &s, model, TrialSpec::new(3_000, 17));
-        let seq = run_trials(&wf, &s, model, TrialSpec::sequential(3_000, 17));
-        assert_eq!(par.makespan.n(), seq.makespan.n());
-        assert_eq!(par.makespan.mean().to_bits(), seq.makespan.mean().to_bits());
-        assert_eq!(
-            par.makespan.stddev().to_bits(),
-            seq.makespan.stddev().to_bits()
-        );
-        assert_eq!(par.makespan.min().to_bits(), seq.makespan.min().to_bits());
-        assert_eq!(par.makespan.max().to_bits(), seq.makespan.max().to_bits());
-        assert_eq!(par.faults.mean().to_bits(), seq.faults.mean().to_bits());
-        for (a, b) in par.mean_breakdown.iter().zip(seq.mean_breakdown.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // The tail sketch obeys the same contract: identical chunk
-        // boundaries + chunk-ordered merge ⇒ bit-identical marker state.
-        assert_eq!(par.tail, seq.tail);
-        assert_eq!(par.tail.p50().to_bits(), seq.tail.p50().to_bits());
-        assert_eq!(par.tail.p99().to_bits(), seq.tail.p99().to_bits());
-        // And the knob round-trips through the builder.
-        assert!(TrialSpec::new(5, 1).parallel);
-        assert!(!TrialSpec::new(5, 1).with_parallel(false).parallel);
     }
 
     /// The sketch-extended thread-invariance guarantee, exercised

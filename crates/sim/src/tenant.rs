@@ -24,7 +24,7 @@
 //! reference-rate model and divided by the speed of the processor it
 //! lands on. On uniform platforms (every speed 1) this is exact.
 
-use crate::montecarlo::{fold_sequential_chunk_states, TrialSpec};
+use crate::montecarlo::TrialSpec;
 use crate::quantile::QuantileSketch;
 use crate::stats::Stats;
 use crate::trialplan::{simulate_planned, TrialPlan, TrialScratch};
@@ -351,9 +351,9 @@ impl StreamAccum {
 /// Every admitted job executes the *same* `(wf, schedule)` pair — the
 /// stream models repeated submissions of one workflow — but each draws
 /// its own fault stream from `make_injector(spec.proc_seed(trial, job))`.
-/// Both the parallel and sequential paths fold per-chunk accumulators
-/// over [`rayon::fold_chunk_len`] boundaries and merge them in chunk
-/// order, so the aggregate is bit-identical for any thread count.
+/// Per-chunk accumulators fold over [`rayon::fold_chunk_len`] boundaries
+/// and merge in chunk order, so the aggregate is bit-identical for any
+/// thread count.
 pub fn run_tenant_trials_with<I, F>(
     wf: &Workflow,
     schedule: &Schedule,
@@ -401,23 +401,11 @@ where
     };
     let finish = |state: (TrialScratch, Vec<f64>, StreamScratch, StreamAccum)| state.3;
     let identity = || StreamAccum::identity(n_tenants);
-    if spec.parallel {
-        (0..spec.trials)
-            .into_par_iter()
-            .fold_chunk_states(init, step, finish)
-            .reduce(identity, StreamAccum::merge)
-            .per
-    } else {
-        fold_sequential_chunk_states(
-            spec.trials,
-            init,
-            step,
-            finish,
-            identity,
-            StreamAccum::merge,
-        )
+    (0..spec.trials)
+        .into_par_iter()
+        .fold_chunk_states(init, step, finish)
+        .reduce(identity, StreamAccum::merge)
         .per
-    }
 }
 
 #[cfg(test)]
@@ -455,35 +443,34 @@ mod tests {
             arrival: 0.0,
             tenant: 0,
         }];
-        for spec in [TrialSpec::new(600, 11), TrialSpec::sequential(600, 11)] {
-            let solo = run_trials_with(&wf, &s, 1.0, spec, |seed| {
-                ExponentialInjector::new(4e-3, seed)
-            });
-            let multi = run_tenant_trials_with(
-                &wf,
-                &s,
-                &jobs,
-                &config(TenantPolicy::Fcfs, 1, 1),
-                spec,
-                |seed| ExponentialInjector::new(4e-3, seed),
-            );
-            assert_eq!(multi.len(), 1);
-            let t = &multi[0];
-            assert_eq!(t.jobs, 600);
-            assert_eq!(t.rejected, 0);
-            assert_eq!(t.response.n(), solo.makespan.n());
-            assert_eq!(t.response.mean().to_bits(), solo.makespan.mean().to_bits());
-            assert_eq!(
-                t.response.stddev().to_bits(),
-                solo.makespan.stddev().to_bits()
-            );
-            assert_eq!(t.response.min().to_bits(), solo.makespan.min().to_bits());
-            assert_eq!(t.response.max().to_bits(), solo.makespan.max().to_bits());
-            assert_eq!(t.tail, solo.tail);
-            // No contention, unit speed: every slowdown is exactly 1.
-            assert_eq!(t.slowdown.min(), 1.0);
-            assert_eq!(t.slowdown.max(), 1.0);
-        }
+        let spec = TrialSpec::new(600, 11);
+        let solo = run_trials_with(&wf, &s, 1.0, spec, |seed| {
+            ExponentialInjector::new(4e-3, seed)
+        });
+        let multi = run_tenant_trials_with(
+            &wf,
+            &s,
+            &jobs,
+            &config(TenantPolicy::Fcfs, 1, 1),
+            spec,
+            |seed| ExponentialInjector::new(4e-3, seed),
+        );
+        assert_eq!(multi.len(), 1);
+        let t = &multi[0];
+        assert_eq!(t.jobs, 600);
+        assert_eq!(t.rejected, 0);
+        assert_eq!(t.response.n(), solo.makespan.n());
+        assert_eq!(t.response.mean().to_bits(), solo.makespan.mean().to_bits());
+        assert_eq!(
+            t.response.stddev().to_bits(),
+            solo.makespan.stddev().to_bits()
+        );
+        assert_eq!(t.response.min().to_bits(), solo.makespan.min().to_bits());
+        assert_eq!(t.response.max().to_bits(), solo.makespan.max().to_bits());
+        assert_eq!(t.tail, solo.tail);
+        // No contention, unit speed: every slowdown is exactly 1.
+        assert_eq!(t.slowdown.min(), 1.0);
+        assert_eq!(t.slowdown.max(), 1.0);
     }
 
     /// Fault-free queueing sanity on one processor: three simultaneous
@@ -602,36 +589,5 @@ mod tests {
         // Completed jobs all hit the (infinite) SLO; rejected ones miss.
         assert_eq!(stats[0].slo_hits, 10);
         assert!((stats[0].slo_rate() - 10.0 / 15.0).abs() < 1e-12);
-    }
-
-    /// The executor contract carried over: parallel and sequential paths
-    /// are bit-identical, faults and all.
-    #[test]
-    fn parallel_and_sequential_paths_are_bit_identical() {
-        let (wf, s) = fixture();
-        let jobs: Vec<TenantJob> = (0..6)
-            .map(|k| TenantJob {
-                arrival: 20.0 * k as f64,
-                tenant: k % 3,
-            })
-            .collect();
-        let mut cfg = config(TenantPolicy::FairShare, 2, 3);
-        cfg.weights = vec![3.0, 2.0, 1.0];
-        cfg.deadlines = vec![200.0, 400.0, 800.0];
-        let run = |spec: TrialSpec| {
-            run_tenant_trials_with(&wf, &s, &jobs, &cfg, spec, |seed| {
-                ExponentialInjector::new(5e-3, seed)
-            })
-        };
-        let par = run(TrialSpec::new(1500, 77));
-        let seq = run(TrialSpec::sequential(1500, 77));
-        for (a, b) in par.iter().zip(&seq) {
-            assert_eq!(a.jobs, b.jobs);
-            assert_eq!(a.slo_hits, b.slo_hits);
-            assert_eq!(a.response.mean().to_bits(), b.response.mean().to_bits());
-            assert_eq!(a.response.stddev().to_bits(), b.response.stddev().to_bits());
-            assert_eq!(a.slowdown.mean().to_bits(), b.slowdown.mean().to_bits());
-            assert_eq!(a.tail, b.tail);
-        }
     }
 }

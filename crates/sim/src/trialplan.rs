@@ -16,8 +16,8 @@
 //! [`simulate_planned`] is the fast twin of [`crate::engine::simulate`]:
 //! same arithmetic in the same order, so its results are **bit-identical**
 //! to the reference engine (pinned by the differential tests below); the
-//! reference stays in `engine.rs` both as executable documentation and as
-//! the "before" baseline of `benches/mc_fastpath.rs`.
+//! reference stays in `engine.rs` as executable documentation and as the
+//! oracle of those tests.
 
 use crate::events::UnitKind;
 use crate::plan::PlanStep;

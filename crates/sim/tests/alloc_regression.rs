@@ -11,9 +11,12 @@
 //!    flattens the `(workflow, schedule)` pair once and shares it across
 //!    every trial of every worker.
 //!
-//! Tests in this binary serialize on one mutex: the counter is global, so
-//! a concurrently allocating test would leak counts into a measurement
-//! window.
+//! The counter is per thread and armed only on the measuring thread
+//! around each steady-state loop, so allocations made concurrently by
+//! libtest or by other tests never leak into a measurement window. The
+//! compile counter is process-global, so the tests still serialize on one
+//! mutex; a failing test's poisoned guard is recovered, so one failure
+//! cannot cascade into the others.
 
 use dagchkpt_core::{Schedule, Workflow};
 use dagchkpt_dag::{generators, topo, FixedBitSet};
@@ -26,17 +29,27 @@ use dagchkpt_sim::replicated::{run_replicated_trials_with, simulate_replicated_p
 use dagchkpt_sim::tenant::{run_tenant_trials_with, TenantConfig, TenantJob, TenantPolicy};
 use dagchkpt_sim::trialplan::{plan_compile_count, simulate_planned, TrialPlan, TrialScratch};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Forwards to the system allocator, counting every `alloc`/`realloc`.
+/// Forwards to the system allocator, counting every `alloc`/`realloc`
+/// made by a thread whose counter is armed.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's allocation count while armed; `None` when disarmed.
+    /// Const-initialized and drop-free, so touching it never allocates.
+    static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn record_alloc() {
+    // `try_with`: the allocator also runs while thread-locals are torn down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get().map(|n| n + 1)));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        record_alloc();
         System.alloc(layout)
     }
 
@@ -45,7 +58,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        record_alloc();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -53,11 +66,18 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Serializes the measurement windows: held for each entire test body.
+/// Allocations the calling thread makes while running `f`.
+fn allocations_during(f: impl FnOnce()) -> u64 {
+    ALLOCS.with(|c| c.set(Some(0)));
+    f();
+    ALLOCS.with(|c| c.take()).expect("counter armed above")
+}
+
+/// Serializes the tests: held for each entire test body.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-fn alloc_count() -> u64 {
-    ALLOCS.load(Ordering::SeqCst)
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn fixture(n: usize, every: usize) -> (Workflow, Schedule) {
@@ -70,7 +90,7 @@ fn fixture(n: usize, every: usize) -> (Workflow, Schedule) {
 
 #[test]
 fn blocking_trials_make_zero_steady_state_allocations() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     let (wf, s) = fixture(40, 3);
     let plan = TrialPlan::compile(&wf, &s);
     let mut scratch = TrialScratch::new(plan.n_tasks());
@@ -80,12 +100,12 @@ fn blocking_trials_make_zero_steady_state_allocations() {
         let mut inj = ExponentialInjector::new(6e-3, seed);
         sink += simulate_planned(&plan, &mut scratch, &mut inj, 1.5).makespan;
     }
-    let before = alloc_count();
-    for seed in 64..320u64 {
-        let mut inj = ExponentialInjector::new(6e-3, seed);
-        sink += simulate_planned(&plan, &mut scratch, &mut inj, 1.5).makespan;
-    }
-    let delta = alloc_count() - before;
+    let delta = allocations_during(|| {
+        for seed in 64..320u64 {
+            let mut inj = ExponentialInjector::new(6e-3, seed);
+            sink += simulate_planned(&plan, &mut scratch, &mut inj, 1.5).makespan;
+        }
+    });
     assert_eq!(
         delta, 0,
         "blocking fast path allocated {delta} times over 256 trials"
@@ -95,7 +115,7 @@ fn blocking_trials_make_zero_steady_state_allocations() {
 
 #[test]
 fn nonblocking_trials_make_zero_steady_state_allocations() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     let (wf, s) = fixture(40, 3);
     let plan = TrialPlan::compile(&wf, &s);
     let mut scratch = TrialScratch::new(plan.n_tasks());
@@ -109,12 +129,12 @@ fn nonblocking_trials_make_zero_steady_state_allocations() {
         let mut inj = ExponentialInjector::new(6e-3, seed);
         sink += simulate_nonblocking_planned(&plan, &mut scratch, &mut inj, cfg).makespan;
     }
-    let before = alloc_count();
-    for seed in 64..320u64 {
-        let mut inj = ExponentialInjector::new(6e-3, seed);
-        sink += simulate_nonblocking_planned(&plan, &mut scratch, &mut inj, cfg).makespan;
-    }
-    let delta = alloc_count() - before;
+    let delta = allocations_during(|| {
+        for seed in 64..320u64 {
+            let mut inj = ExponentialInjector::new(6e-3, seed);
+            sink += simulate_nonblocking_planned(&plan, &mut scratch, &mut inj, cfg).makespan;
+        }
+    });
     assert_eq!(
         delta, 0,
         "non-blocking fast path allocated {delta} times over 256 trials"
@@ -124,7 +144,7 @@ fn nonblocking_trials_make_zero_steady_state_allocations() {
 
 #[test]
 fn replicated_trials_make_zero_steady_state_allocations() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     let (wf, s) = fixture(24, 2);
     let platform = HeteroPlatform::new(
         vec![
@@ -154,11 +174,11 @@ fn replicated_trials_make_zero_steady_state_allocations() {
     for i in 0..64 {
         sink += run(i, &mut scratch, &mut injectors);
     }
-    let before = alloc_count();
-    for i in 64..320 {
-        sink += run(i, &mut scratch, &mut injectors);
-    }
-    let delta = alloc_count() - before;
+    let delta = allocations_during(|| {
+        for i in 64..320 {
+            sink += run(i, &mut scratch, &mut injectors);
+        }
+    });
     assert_eq!(
         delta, 0,
         "replicated fast path allocated {delta} times over 256 trials"
@@ -170,7 +190,7 @@ fn replicated_trials_make_zero_steady_state_allocations() {
 /// no matter how many trials, workers or jobs the campaign spans.
 #[test]
 fn every_runner_compiles_exactly_one_plan_per_campaign() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     let (wf, s) = fixture(16, 2);
     let spec = TrialSpec::new(200, 9);
 

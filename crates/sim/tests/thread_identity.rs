@@ -1,35 +1,45 @@
 //! Thread-count bit-identity over the scratch-arena fast path.
 //!
 //! The executor contract — statistics are bit-identical for any
-//! `RAYON_NUM_THREADS`, and for the sequential path — predates the
-//! compiled-plan engines; this suite re-pins it on the new path for all
-//! four of them (blocking Monte-Carlo, non-blocking, replicated, tenant).
-//! The vendored executor reads the variable at every dispatch, so each
-//! run sees its own pool size; a mutex serializes the env mutation.
+//! `RAYON_NUM_THREADS` — predates the compiled-plan engines; this suite
+//! re-pins it on the new path for all four of them (blocking Monte-Carlo,
+//! non-blocking, replicated by degree and by set, tenant), for the per-item
+//! metric fold `trial_metric_tail_stats`, for ragged and zero trial counts,
+//! and for the Theorem-3 cross-validation itself. The vendored executor reads the variable at
+//! every dispatch, so each run sees its own pool size; a mutex serializes
+//! the env mutation.
 
-use dagchkpt_core::{Schedule, Workflow};
+use dagchkpt_core::{
+    expected_makespan, linearize, CostRule, LinearizationStrategy, Schedule, Workflow,
+};
 use dagchkpt_dag::{generators, topo, FixedBitSet};
-use dagchkpt_failure::{ExponentialInjector, HeteroPlatform, Processor};
-use dagchkpt_sim::montecarlo::{run_trials_with, TrialSpec, TrialStats};
+use dagchkpt_failure::{ExponentialInjector, FaultModel, HeteroPlatform, Processor};
+use dagchkpt_sim::montecarlo::{
+    run_trials, run_trials_with, trial_metric_tail_stats, TrialSpec, TrialStats,
+};
 use dagchkpt_sim::nonblocking::{run_nonblocking_trials_with, NonBlockingConfig};
-use dagchkpt_sim::replicated::run_replicated_trials_with;
+use dagchkpt_sim::quantile::QuantileSketch;
+use dagchkpt_sim::replicated::{
+    run_replicated_sets_trials_with, run_replicated_trials_with,
+    simulate_replicated_nonblocking_sets,
+};
+use dagchkpt_sim::stats::Stats;
 use dagchkpt_sim::tenant::{run_tenant_trials_with, TenantConfig, TenantJob, TenantPolicy};
-use std::sync::Mutex;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use std::sync::{Mutex, PoisonError};
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-/// Runs `f` under each pool size plus the pre-set environment, restoring
-/// the variable afterwards, and returns one result per configuration.
-fn under_thread_counts<T>(f: impl Fn() -> T) -> Vec<T> {
-    let _guard = ENV_LOCK.lock().unwrap();
+/// Runs `f` under a 1-worker and a 4-worker pool, restoring the variable
+/// afterwards, and returns the two results in that order.
+fn under_thread_counts<T>(f: impl Fn() -> T) -> [T; 2] {
+    let _guard = ENV_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let saved = std::env::var("RAYON_NUM_THREADS").ok();
-    let runs = ["1", "4"]
-        .iter()
-        .map(|n| {
-            std::env::set_var("RAYON_NUM_THREADS", n);
-            f()
-        })
-        .collect();
+    let runs = ["1", "4"].map(|n| {
+        std::env::set_var("RAYON_NUM_THREADS", n);
+        f()
+    });
     match saved {
         Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
         None => std::env::remove_var("RAYON_NUM_THREADS"),
@@ -76,20 +86,49 @@ fn assert_trial_stats_identical(a: &TrialStats, b: &TrialStats) {
     assert_eq!(a.tail, b.tail, "sketch state must not move");
 }
 
+fn assert_metric_tail_identical(a: &(Stats, QuantileSketch), b: &(Stats, QuantileSketch)) {
+    assert_eq!(a.0.n(), b.0.n());
+    assert_eq!(a.0.mean().to_bits(), b.0.mean().to_bits());
+    assert_eq!(a.0.variance().to_bits(), b.0.variance().to_bits());
+    assert_eq!(a.0.min().to_bits(), b.0.min().to_bits());
+    assert_eq!(a.0.max().to_bits(), b.0.max().to_bits());
+    assert_eq!(a.1, b.1, "sketch state must not move");
+}
+
 #[test]
 fn blocking_fast_path_is_bit_identical_across_thread_counts() {
     let (wf, s) = fixture();
-    let runs = under_thread_counts(|| {
+    let [one, four] = under_thread_counts(|| {
         run_trials_with(&wf, &s, 1.5, TrialSpec::new(2_048, 31), |seed| {
             ExponentialInjector::new(6e-3, seed)
         })
     });
-    let sequential = run_trials_with(&wf, &s, 1.5, TrialSpec::sequential(2_048, 31), |seed| {
-        ExponentialInjector::new(6e-3, seed)
+    assert_trial_stats_identical(&one, &four);
+}
+
+/// The per-item metric fold behind replicated non-blocking Monte-Carlo
+/// cells, driven the way the cell executor drives it: its chunk grouping
+/// must not depend on the pool size either.
+#[test]
+fn metric_tail_fold_is_bit_identical_across_thread_counts() {
+    let (wf, s) = fixture();
+    let platform = hetero2();
+    let sets: Vec<Vec<usize>> = (0..wf.n_tasks())
+        .map(|i| if i % 2 == 0 { vec![0, 1] } else { vec![1] })
+        .collect();
+    let spec = TrialSpec::new(1_024, 43);
+    let [one, four] = under_thread_counts(|| {
+        trial_metric_tail_stats(spec, |i| {
+            let mut injectors: Vec<ExponentialInjector> = (0..2)
+                .map(|rank| {
+                    ExponentialInjector::new(platform.procs()[rank].lambda, spec.proc_seed(i, rank))
+                })
+                .collect();
+            simulate_replicated_nonblocking_sets(&wf, &s, &platform, &sets, &mut injectors, 0.7)
+                .makespan
+        })
     });
-    for r in &runs {
-        assert_trial_stats_identical(r, &sequential);
-    }
+    assert_metric_tail_identical(&one, &four);
 }
 
 #[test]
@@ -105,16 +144,8 @@ fn nonblocking_fast_path_is_bit_identical_across_thread_counts() {
             ExponentialInjector::new(6e-3, seed)
         })
     };
-    let runs = under_thread_counts(|| campaign(TrialSpec::new(2_048, 31)));
-    let (seq_stats, seq_tail) = campaign(TrialSpec::sequential(2_048, 31));
-    for (stats, tail) in &runs {
-        assert_eq!(stats.n(), seq_stats.n());
-        assert_eq!(stats.mean().to_bits(), seq_stats.mean().to_bits());
-        assert_eq!(stats.variance().to_bits(), seq_stats.variance().to_bits());
-        assert_eq!(stats.min().to_bits(), seq_stats.min().to_bits());
-        assert_eq!(stats.max().to_bits(), seq_stats.max().to_bits());
-        assert_eq!(tail, &seq_tail, "sketch state must not move");
-    }
+    let [one, four] = under_thread_counts(|| campaign(TrialSpec::new(2_048, 31)));
+    assert_metric_tail_identical(&one, &four);
 }
 
 #[test]
@@ -127,49 +158,167 @@ fn replicated_fast_path_is_bit_identical_across_thread_counts() {
             ExponentialInjector::new(platform.procs()[rank].lambda, seed)
         })
     };
-    let runs = under_thread_counts(|| campaign(TrialSpec::new(1_024, 17)));
-    let sequential = campaign(TrialSpec::sequential(1_024, 17));
-    for r in &runs {
-        assert_trial_stats_identical(r, &sequential);
+    let [one, four] = under_thread_counts(|| campaign(TrialSpec::new(1_024, 17)));
+    assert_trial_stats_identical(&one, &four);
+}
+
+fn tenant_jobs() -> Vec<TenantJob> {
+    (0..6)
+        .map(|k| TenantJob {
+            arrival: 25.0 * k as f64,
+            tenant: k % 3,
+        })
+        .collect()
+}
+
+fn tenant_config() -> TenantConfig {
+    TenantConfig {
+        speeds: vec![1.0, 1.0],
+        downtime: 1.5,
+        policy: TenantPolicy::FairShare,
+        weights: vec![3.0, 2.0, 1.0],
+        deadlines: vec![300.0, 600.0, f64::INFINITY],
     }
 }
 
 #[test]
 fn tenant_fast_path_is_bit_identical_across_thread_counts() {
     let (wf, s) = fixture();
-    let jobs: Vec<TenantJob> = (0..6)
-        .map(|k| TenantJob {
-            arrival: 25.0 * k as f64,
-            tenant: k % 3,
-        })
-        .collect();
-    let config = TenantConfig {
-        speeds: vec![1.0, 1.0],
-        downtime: 1.5,
-        policy: TenantPolicy::FairShare,
-        weights: vec![3.0, 2.0, 1.0],
-        deadlines: vec![300.0, 600.0, f64::INFINITY],
-    };
+    let jobs = tenant_jobs();
+    let config = tenant_config();
     let campaign = |spec: TrialSpec| {
         run_tenant_trials_with(&wf, &s, &jobs, &config, spec, |seed| {
             ExponentialInjector::new(5e-3, seed)
         })
     };
-    let runs = under_thread_counts(|| campaign(TrialSpec::new(1_024, 53)));
-    let sequential = campaign(TrialSpec::sequential(1_024, 53));
-    for r in &runs {
-        assert_eq!(r.len(), sequential.len());
-        for (a, b) in r.iter().zip(&sequential) {
-            assert_eq!(a.jobs, b.jobs);
-            assert_eq!(a.rejected, b.rejected);
-            assert_eq!(a.slo_hits, b.slo_hits);
-            assert_eq!(a.response.mean().to_bits(), b.response.mean().to_bits());
-            assert_eq!(
-                a.response.variance().to_bits(),
-                b.response.variance().to_bits()
-            );
-            assert_eq!(a.slowdown.mean().to_bits(), b.slowdown.mean().to_bits());
-            assert_eq!(a.tail, b.tail, "sketch state must not move");
+    let [one, four] = under_thread_counts(|| campaign(TrialSpec::new(1_024, 53)));
+    assert_eq!(one.len(), four.len());
+    for (a, b) in one.iter().zip(&four) {
+        assert_eq!(a.jobs, b.jobs);
+        assert_eq!(a.rejected, b.rejected);
+        assert_eq!(a.slo_hits, b.slo_hits);
+        assert_eq!(a.response.mean().to_bits(), b.response.mean().to_bits());
+        assert_eq!(
+            a.response.variance().to_bits(),
+            b.response.variance().to_bits()
+        );
+        assert_eq!(a.slowdown.mean().to_bits(), b.slowdown.mean().to_bits());
+        assert_eq!(a.tail, b.tail, "sketch state must not move");
+    }
+}
+
+/// Non-prefix replica sets (the joint optimizer's validation engine) take
+/// the planned path without delegating to the degree API.
+#[test]
+fn replicated_sets_fast_path_is_bit_identical_across_thread_counts() {
+    let (wf, s) = fixture();
+    let platform = hetero2();
+    let sets: Vec<Vec<usize>> = (0..wf.n_tasks())
+        .map(|i| match i % 3 {
+            0 => vec![1],
+            1 => vec![0, 1],
+            _ => vec![0],
+        })
+        .collect();
+    let campaign = |spec: TrialSpec| {
+        run_replicated_sets_trials_with(&wf, &s, &platform, &sets, spec, |rank, seed| {
+            ExponentialInjector::new(platform.procs()[rank].lambda, seed)
+        })
+    };
+    let [one, four] = under_thread_counts(|| campaign(TrialSpec::new(1_024, 29)));
+    assert_trial_stats_identical(&one, &four);
+}
+
+/// Trial counts that leave a short last fold chunk, or fewer trials than
+/// workers, group exactly as the full-chunk counts do.
+#[test]
+fn ragged_trial_counts_are_bit_identical_across_thread_counts() {
+    let (wf, s) = fixture();
+    for trials in [1, 3, 63, 65, 193] {
+        let [one, four] = under_thread_counts(|| {
+            run_trials_with(&wf, &s, 1.5, TrialSpec::new(trials, 7), |seed| {
+                ExponentialInjector::new(6e-3, seed)
+            })
+        });
+        assert_eq!(one.makespan.n(), trials as u64);
+        assert_trial_stats_identical(&one, &four);
+    }
+}
+
+/// Zero trials give the same empty aggregate (counts 0, means NaN) under
+/// every pool size, for every engine.
+#[test]
+fn zero_trials_are_empty_under_every_thread_count() {
+    let (wf, s) = fixture();
+    let platform = hetero2();
+    let spec = TrialSpec::new(0, 3);
+    let assert_empty = |t: &TrialStats| {
+        assert_eq!(t.makespan.n(), 0);
+        assert_eq!(t.faults.n(), 0);
+        assert!(t.makespan.mean().is_nan());
+        assert!(t.mean_breakdown.iter().all(|v| v.is_nan()));
+        assert_eq!(t.tail.count(), 0);
+    };
+    for blocking in under_thread_counts(|| {
+        run_trials_with(&wf, &s, 1.5, spec, |seed| {
+            ExponentialInjector::new(6e-3, seed)
+        })
+    }) {
+        assert_empty(&blocking);
+    }
+    let degrees = vec![2; wf.n_tasks()];
+    for replicated in under_thread_counts(|| {
+        run_replicated_trials_with(&wf, &s, &platform, &degrees, spec, |rank, seed| {
+            ExponentialInjector::new(platform.procs()[rank].lambda, seed)
+        })
+    }) {
+        assert_empty(&replicated);
+    }
+    let cfg = NonBlockingConfig {
+        downtime: 1.5,
+        compute_rate: 0.7,
+        record_trace: false,
+    };
+    for (stats, tail) in under_thread_counts(|| {
+        run_nonblocking_trials_with(&wf, &s, cfg, spec, |seed| {
+            ExponentialInjector::new(6e-3, seed)
+        })
+    }) {
+        assert_eq!(stats.n(), 0);
+        assert!(stats.mean().is_nan());
+        assert_eq!(tail.count(), 0);
+    }
+    let (jobs, config) = (tenant_jobs(), tenant_config());
+    for per_tenant in under_thread_counts(|| {
+        run_tenant_trials_with(&wf, &s, &jobs, &config, spec, |seed| {
+            ExponentialInjector::new(5e-3, seed)
+        })
+    }) {
+        assert_eq!(per_tenant.len(), 3);
+        for t in &per_tenant {
+            assert_eq!((t.jobs, t.rejected, t.slo_hits), (0, 0, 0));
+            assert_eq!(t.response.n(), 0);
+            assert_eq!(t.tail.count(), 0);
         }
     }
+}
+
+/// Theorem 3 cross-validation on a random layered DAG holds on the very
+/// same numbers under either pool size: the Monte-Carlo mean is
+/// bit-identical and within 3 standard errors of the analytic value.
+#[test]
+fn run_trials_cross_validates_identically_across_thread_counts() {
+    let n = 10;
+    let mut rng = SmallRng::seed_from_u64(2024);
+    let dag = generators::layered_random(&mut rng, n, 4, 0.35);
+    let weights: Vec<f64> = (0..n).map(|_| rng.gen_range(2.0..40.0)).collect();
+    let wf = Workflow::with_cost_rule(dag, weights, CostRule::ProportionalToWork { ratio: 0.1 });
+    let model = FaultModel::new(2e-3, 1.0);
+    let order = linearize(&wf, LinearizationStrategy::DepthFirst);
+    let s = Schedule::always(&wf, order).unwrap();
+    let [one, four] = under_thread_counts(|| run_trials(&wf, &s, model, TrialSpec::new(5_000, 9)));
+    assert_trial_stats_identical(&one, &four);
+    let analytic = expected_makespan(&wf, model, &s);
+    let z = (one.makespan.mean() - analytic) / one.makespan.sem();
+    assert!(z.abs() <= 3.0, "validation off: {z:.2} sigma");
 }

@@ -147,13 +147,28 @@ fn run(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn generate(flags: &HashMap<String, String>) -> Result<(), String> {
+/// The generator flags `--kind K -n N [--rule R] [--seed S]`, validated:
+/// `n` below the kind's minimum is a usage error, not a generator panic.
+fn gen_flags(
+    flags: &HashMap<String, String>,
+) -> Result<(PegasusKind, usize, CostRule, u64), String> {
     let kind = parse_kind(req(flags, "kind")?)?;
     let n: usize = req(flags, "n")?.parse().map_err(|_| "bad -n".to_string())?;
+    if n < kind.min_tasks() {
+        return Err(format!(
+            "{kind} needs ≥ {} tasks, got -n {n}",
+            kind.min_tasks()
+        ));
+    }
     let rule = parse_rule(flags.get("rule").map(|s| s.as_str()).unwrap_or("0.1w"))?;
     let seed: u64 = flags
         .get("seed")
         .map_or(Ok(42), |s| s.parse().map_err(|_| "bad --seed"))?;
+    Ok((kind, n, rule, seed))
+}
+
+fn generate(flags: &HashMap<String, String>) -> Result<(), String> {
+    let (kind, n, rule, seed) = gen_flags(flags)?;
     let (wf, labels) = kind.generate_labeled(n, rule, seed);
     let spec = WorkflowSpec::from_workflow(&wf, Some(&labels));
     let json = spec.to_json();
@@ -184,12 +199,7 @@ fn workflow_from_flags(flags: &HashMap<String, String>) -> Result<Workflow, Stri
     if let Some(path) = flags.get("workflow") {
         load_workflow(path)
     } else {
-        let kind = parse_kind(req(flags, "kind")?)?;
-        let n: usize = req(flags, "n")?.parse().map_err(|_| "bad -n".to_string())?;
-        let rule = parse_rule(flags.get("rule").map(|s| s.as_str()).unwrap_or("0.1w"))?;
-        let seed: u64 = flags
-            .get("seed")
-            .map_or(Ok(42), |s| s.parse().map_err(|_| "bad --seed"))?;
+        let (kind, n, rule, seed) = gen_flags(flags)?;
         Ok(kind.generate(n, rule, seed))
     }
 }

@@ -1,6 +1,7 @@
 //! End-to-end tests of the `dagchkpt` CLI binary
 //! (generate → solve → eval → simulate round trip through JSON files).
 
+use dagchkpt::workflows::PegasusKind;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -113,12 +114,60 @@ fn bad_usage_fails_with_help() {
         vec![
             "generate", "--kind", "montage", "-n", "50", "--rule", "banana",
         ],
+        // Below the generator minimum: a usage error, never a panic.
+        vec!["generate", "--kind", "montage", "-n", "5"],
+        vec!["solve", "--kind", "montage", "-n", "5", "--lambda", "1e-3"],
     ] {
         let out = bin().args(&args).output().expect("run");
         assert!(!out.status.success(), "{args:?} unexpectedly succeeded");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
+}
+
+/// Runs `cmd --kind K -n N` for every kind at exactly its generator
+/// minimum (must succeed) and one task below it (must be a usage error
+/// naming the minimum, never a panic).
+fn assert_kind_minimum_enforced(cmd: &[&str]) {
+    for kind in PegasusKind::ALL {
+        let (name, min) = (kind.name().to_ascii_lowercase(), kind.min_tasks());
+        let run = |n: usize| {
+            let n = n.to_string();
+            bin()
+                .args(cmd)
+                .args(["--kind", &name, "-n", &n])
+                .output()
+                .expect("run")
+        };
+        let at_min = run(min);
+        let stderr = String::from_utf8_lossy(&at_min.stderr);
+        assert!(at_min.status.success(), "{cmd:?} {kind} -n {min}: {stderr}");
+        let below = run(min - 1);
+        assert_eq!(
+            below.status.code(),
+            Some(2),
+            "{cmd:?} {kind} -n {}",
+            min - 1
+        );
+        let stderr = String::from_utf8_lossy(&below.stderr);
+        assert!(
+            stderr.contains(&format!("{kind} needs ≥ {min} tasks")),
+            "{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+}
+
+#[test]
+fn generate_accepts_each_kind_at_its_minimum_and_rejects_one_below() {
+    assert_kind_minimum_enforced(&["generate"]);
+}
+
+/// `solve`'s `--kind K -n N` workflow source shares the same check.
+#[test]
+fn solve_from_kind_flags_rejects_below_minimum() {
+    assert_kind_minimum_enforced(&["solve", "--lambda", "1e-3", "--heuristic", "DF-CkptW"]);
 }
 
 #[test]

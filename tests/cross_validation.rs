@@ -609,24 +609,3 @@ mod joint_optimizer {
         assert!(fz.abs() <= 3.0, "faults off by {fz:.2} sigma");
     }
 }
-
-/// The cross-validation holds identically on the sequential path — and the
-/// sequential statistics are bit-identical to the parallel ones, so the two
-/// assertions above and below are literally about the same numbers.
-#[test]
-fn sequential_path_reproduces_parallel_validation() {
-    let wf = random_workflow(2024, 10);
-    let model = FaultModel::new(2e-3, 1.0);
-    let order = dagchkpt::core::linearize(&wf, LinearizationStrategy::DepthFirst);
-    let s = Schedule::always(&wf, order).unwrap();
-    let par = run_trials(&wf, &s, model, TrialSpec::new(5_000, 9));
-    let seq = run_trials(&wf, &s, model, TrialSpec::sequential(5_000, 9));
-    assert_eq!(par.makespan.mean().to_bits(), seq.makespan.mean().to_bits());
-    assert_eq!(
-        par.makespan.stddev().to_bits(),
-        seq.makespan.stddev().to_bits()
-    );
-    let analytic = evaluator::expected_makespan(&wf, model, &s);
-    let z = (seq.makespan.mean() - analytic) / seq.makespan.sem();
-    assert!(z.abs() <= 3.0, "sequential validation off: {z:.2} sigma");
-}

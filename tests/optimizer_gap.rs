@@ -1,4 +1,4 @@
-//! The acceptance criterion of the objective-driven optimizer core, read
+//! The acceptance check of the objective-driven optimizer core, read
 //! straight off the golden corpus: the `replication_aware` campaign runs
 //! the **same cells** (same workflows, seeds, platform, replication) under
 //! the three optimizer backends, so its three CSVs are comparable row by

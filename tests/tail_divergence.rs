@@ -1,4 +1,4 @@
-//! The acceptance criterion of the tail-latency objective, read straight
+//! The acceptance check of the tail-latency objective, read straight
 //! off the golden corpus: the `tail_latency` campaign runs the **same
 //! cells** (same chain instances, seeds, row simulators) under the mean
 //! and p99 objectives, so its two CSVs are comparable row by row, and the
