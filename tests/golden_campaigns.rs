@@ -282,6 +282,152 @@ fn unit_tier_storage_reproduces_homogeneous_golden_csvs() {
     std::fs::remove_dir_all(&out).ok();
 }
 
+/// Byte-compares `got` against the pinned file `name` under
+/// `tests/golden/` (or, with `UPDATE_GOLDEN=1`, refreshes it).
+fn check_pinned(name: &str, got: &[u8]) {
+    let pinned = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&pinned, got).unwrap();
+        return;
+    }
+    let want = std::fs::read(&pinned).unwrap_or_else(|e| {
+        panic!(
+            "missing golden {} (run with UPDATE_GOLDEN=1 to create): {e}",
+            pinned.display()
+        )
+    });
+    assert!(
+        got == want.as_slice(),
+        "{name} differs from the golden corpus.\n\
+         If the change is intentional, regenerate with \
+         `UPDATE_GOLDEN=1 cargo test --test golden_campaigns` and review the diff."
+    );
+}
+
+/// Replicated cells no built-in campaign reaches: an anti-correlated
+/// three-processor pool with static `Uniform { degree: 2 }` replication,
+/// run through blocking *and* non-blocking Monte-Carlo under every
+/// optimizer (the `proxy`/`replication_aware` rows simulate the static
+/// prefix sets, the `joint` rows the descent's own sets).
+fn replicated_spec() -> dagchkpt_bench::ScenarioSpec {
+    dagchkpt_bench::ScenarioSpec::from_json(
+        r#"{
+          "name": "replicated_rows",
+          "workflows": [
+            { "Pegasus": { "kind": "CyberShake",
+                           "rule": { "ProportionalToWork": { "ratio": 0.1 } } } }
+          ],
+          "sizes": [50],
+          "failures": [ { "SourceDefault": { "downtime": 1.0 } } ],
+          "platforms": [
+            { "Explicit": { "processors": [
+                { "speed": 1.4, "rel_rate": 8.0 },
+                { "speed": 1.0, "rel_rate": 1.0 },
+                { "speed": 0.7, "rel_rate": 0.25 }
+              ] } }
+          ],
+          "replications": [ { "Uniform": { "degree": 2 } } ],
+          "strategies": [ "Paper" ],
+          "simulators": [
+            "Analytic",
+            { "MonteCarlo": { "trials": 1500 } },
+            { "NonBlocking": { "trials": 1500, "compute_rate": 0.7 } }
+          ],
+          "seed": 42,
+          "seed_policy": "LegacyXorN",
+          "sweep": "Exhaustive"
+        }"#,
+    )
+    .expect("valid replicated spec")
+}
+
+/// Runs every cell of each `(optimizer, storage)` variant of
+/// [`replicated_spec`] through `run_cell_full` and returns the CSV bytes
+/// in `format`.
+fn replicated_csv(
+    variants: &[(dagchkpt_bench::OptimizerSpec, dagchkpt_bench::StorageSpec)],
+    format: dagchkpt_bench::OutputFormat,
+    tag: &str,
+) -> Vec<u8> {
+    let mut rows = Vec::new();
+    let mut header = Vec::new();
+    for (optimizer, storage) in variants {
+        let mut spec = replicated_spec();
+        spec.optimizer = *optimizer;
+        spec.storage = storage.clone();
+        header = dagchkpt_bench::stage_header(format, &spec.simulators);
+        for plan in spec.expand().expect("spec expands") {
+            let exec = dagchkpt_bench::run_cell_full(&spec, &plan).expect("cell runs");
+            rows.extend(dagchkpt_bench::cell_csv_rows(format, &exec.rows));
+        }
+    }
+    let path = std::env::temp_dir().join(format!("dagchkpt_golden_{tag}.csv"));
+    let header: Vec<&str> = header.iter().map(String::as_str).collect();
+    dagchkpt_bench::csvout::write_csv(&path, &header, rows).unwrap();
+    let got = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    got
+}
+
+/// Pins the replicated blocking and non-blocking Monte-Carlo rows of the
+/// cell executor byte for byte, for static prefix sets and for the joint
+/// optimizer's selected sets (including the p50/p95/p99 tail columns).
+#[test]
+fn golden_replicated_nonblocking_rows() {
+    use dagchkpt_bench::{OptimizerSpec, OutputFormat, StorageSpec};
+    let variants: Vec<_> = [
+        OptimizerSpec::Proxy,
+        OptimizerSpec::ReplicationAware,
+        OptimizerSpec::Joint,
+    ]
+    .into_iter()
+    .map(|o| (o, StorageSpec::Off))
+    .collect();
+    let got = replicated_csv(&variants, OutputFormat::RowsTail, "replicated_nonblocking");
+    check_pinned("replicated_nonblocking.csv", &got);
+}
+
+/// Pins the storage-axis rows on a replicated platform that the built-in
+/// `storage_tiers` campaign does not reach: per-task tier refinement on
+/// the static prefix sets (proxy and replication-aware optimizers) and
+/// the joint descent under uniform best-tier selection.
+#[test]
+fn golden_replicated_storage_rows() {
+    use dagchkpt_bench::{OptimizerSpec, OutputFormat, StorageSelect, StorageSpec, TierSpec};
+    let tiers = vec![
+        TierSpec {
+            name: "wfast".to_string(),
+            write_bw: 8.0,
+            read_bw: 0.125,
+            compression: 1.0,
+            contention: 0.5,
+        },
+        TierSpec {
+            name: "rfast".to_string(),
+            write_bw: 0.125,
+            read_bw: 8.0,
+            compression: 0.8,
+            contention: 0.0,
+        },
+    ];
+    let storage = |select| StorageSpec::Tiers {
+        tiers: tiers.clone(),
+        select,
+    };
+    let variants = vec![
+        (OptimizerSpec::Proxy, storage(StorageSelect::PerTask)),
+        (
+            OptimizerSpec::ReplicationAware,
+            storage(StorageSelect::PerTask),
+        ),
+        (OptimizerSpec::Joint, storage(StorageSelect::Best)),
+    ];
+    let got = replicated_csv(&variants, OutputFormat::StorageRows, "replicated_storage");
+    check_pinned("replicated_storage.csv", &got);
+}
+
 /// Every file in the corpus belongs to exactly one campaign, and every
 /// campaign file (minus the nondeterministic exclusions) is pinned — no
 /// strays in either direction.
