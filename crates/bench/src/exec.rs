@@ -15,20 +15,19 @@ use crate::scenario::{
     ScenarioError, ScenarioSpec, SimulatorSpec, StorageSelect, StrategyCell,
 };
 use dagchkpt_core::{
-    evaluator, exact, linearize, optimize_checkpoints_quantile, optimize_joint,
-    optimize_joint_storage, run_heuristic, run_heuristic_with, select_storage, storage_scales,
-    LinearizationStrategy, ReplicatedEvaluator, Schedule, SelectionSpec, StorageStrategy,
-    SweepPolicy, Workflow,
+    evaluate_replicated_sets, evaluator, exact, joint_descent, linearize,
+    optimize_checkpoints_quantile, prefix_sets, run_heuristic, run_heuristic_with, select_storage,
+    storage_scales, LinearizationStrategy, ReplicatedEvaluator, Schedule, SelectionSpec,
+    StorageStrategy, SweepPolicy, Workflow,
 };
 use dagchkpt_failure::{
-    daly, ExponentialInjector, FaultInjector, FaultModel, StorageHierarchy, TraceInjector,
-    WeibullInjector,
+    daly, ExponentialInjector, FaultInjector, FaultModel, HeteroPlatform, StorageHierarchy,
+    TraceInjector, WeibullInjector,
 };
 use dagchkpt_sim::{
-    run_nonblocking_trials_with, run_replicated_sets_trials_with, run_replicated_trials_with,
-    run_tenant_trials_with, run_trials_with, simulate_replicated_nonblocking,
-    simulate_replicated_nonblocking_sets, trial_metric_tail_stats, McObjective, NonBlockingConfig,
-    TenantConfig, TenantJob, TenantPolicy, TrialSpec,
+    run_nonblocking_trials_with, run_replicated_nonblocking_trials_with,
+    run_replicated_sets_trials_with, run_tenant_trials_with, run_trials_with, McObjective,
+    NonBlockingConfig, TenantConfig, TenantJob, TenantPolicy, TrialSpec,
 };
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -90,7 +89,7 @@ pub struct CellResult {
 
 /// A strategy's optimized schedule plus its analytic value. `replica_sets`
 /// is `Some` only when the joint optimizer re-selected per-task replica
-/// sets (they then replace the cell's static degree assignment everywhere
+/// sets (they then replace the cell's static prefix sets everywhere
 /// downstream: the analytic column and both Monte-Carlo engines).
 struct StrategyOutcome {
     name: String,
@@ -108,6 +107,10 @@ struct StrategyOutcome {
 /// selection per round; the descent stops early at a fixed point).
 const JOINT_ROUNDS: usize = 4;
 
+/// A cell's resolved heterogeneous execution context: the platform plus
+/// the per-task replica sets of its static replication strategy.
+type Hetero = (HeteroPlatform, Vec<Vec<usize>>);
+
 /// XOR salt on the cell seed for the quantile objective's own trial
 /// stream, so the optimizer's Monte-Carlo draws are decorrelated from the
 /// row simulators' (which use the unsalted cell seed).
@@ -122,7 +125,7 @@ fn run_strategy(
     optimizer: OptimizerSpec,
     objective: ObjectiveSpec,
     seed: u64,
-    hetero: Option<&(dagchkpt_failure::HeteroPlatform, Vec<usize>)>,
+    hetero: Option<&Hetero>,
 ) -> Result<StrategyOutcome, ScenarioError> {
     match strat {
         StrategyCell::Heuristic(h) => {
@@ -156,14 +159,13 @@ fn run_strategy(
                 // degenerate collapse routed to the homogeneous path —
                 // optimizes under the single-machine model, as ever.
                 (OptimizerSpec::Proxy, _) | (_, None) => run_heuristic(wf, model, h, policy),
-                (OptimizerSpec::ReplicationAware, Some((platform, degrees))) => {
-                    let obj = ReplicatedEvaluator::from_degrees(wf, platform, degrees);
+                (OptimizerSpec::ReplicationAware, Some((platform, sets))) => {
+                    let obj = ReplicatedEvaluator::from_sets(wf, platform, sets);
                     run_heuristic_with(wf, &obj, h, policy)
                 }
-                (OptimizerSpec::Joint, Some((platform, degrees))) => {
-                    let order = linearize(wf, h.lin);
-                    let j =
-                        optimize_joint(wf, platform, &order, h.ckpt, policy, degrees, JOINT_ROUNDS);
+                (OptimizerSpec::Joint, Some((platform, sets))) => {
+                    let ev = ReplicatedEvaluator::from_sets(wf, platform, sets);
+                    let j = joint(wf, ev, h.lin, h.ckpt, policy);
                     return Ok(StrategyOutcome {
                         name: h.name(),
                         expected: j.expected_makespan,
@@ -253,23 +255,34 @@ fn exact_outcome(name: &str, schedule: Schedule, expected: f64) -> StrategyOutco
     }
 }
 
-/// Per-task replica-group sizes for storage-contention pricing: 1 for
-/// every task on the homogeneous path, the joint optimizer's per-task
-/// set sizes when it picked them, otherwise the cell's static degrees
-/// clamped to the platform.
-fn replica_counts(
-    n: usize,
-    hetero: Option<&(dagchkpt_failure::HeteroPlatform, Vec<usize>)>,
-    sets: Option<&Vec<Vec<usize>>>,
-) -> Vec<usize> {
-    match (hetero, sets) {
-        (None, _) => vec![1; n],
-        (Some(_), Some(sets)) => sets.iter().map(|s| s.len().max(1)).collect(),
-        (Some((platform, degrees)), None) => degrees
-            .iter()
-            .map(|&d| d.clamp(1, platform.n_procs()))
-            .collect(),
-    }
+/// The joint coordinate descent the `joint` optimizer runs for one
+/// heuristic, from `ev`'s replica sets (and tiers, if it carries a
+/// storage hierarchy) over the prefix candidate family.
+fn joint(
+    wf: &Workflow,
+    ev: ReplicatedEvaluator,
+    lin: LinearizationStrategy,
+    ckpt: dagchkpt_core::CheckpointStrategy,
+    policy: SweepPolicy,
+) -> dagchkpt_core::JointSchedule {
+    let order = linearize(wf, lin);
+    joint_descent(
+        wf,
+        ev,
+        &order,
+        ckpt,
+        policy,
+        JOINT_ROUNDS,
+        SelectionSpec::Prefixes,
+    )
+    .expect("the prefix family is infallible")
+}
+
+/// Per-task replica-group sizes for storage-contention pricing: the
+/// sizes of the replica sets in effect, 1 for every task on the
+/// homogeneous path.
+fn group_sizes(n: usize, sets: Option<&[Vec<usize>]>) -> Vec<usize> {
+    sets.map_or_else(|| vec![1; n], |sets| sets.iter().map(Vec::len).collect())
 }
 
 /// The tier-priced workflow copy every Monte-Carlo engine simulates:
@@ -311,7 +324,8 @@ fn storage_label(
 /// and a `NaN` candidate can never displace a finite one), then refines
 /// per task when the spec asks for it. Under the `joint` optimizer with
 /// `per-task` selection, tier choice instead becomes the third axis of
-/// the coordinate descent itself ([`optimize_joint_storage`]); under a
+/// the coordinate descent itself ([`joint_descent`] on a storage-aware
+/// evaluator); under a
 /// fixed tier the joint descent runs on a single-tier sub-hierarchy so
 /// the tier stays pinned while budget and replica sets co-optimize.
 ///
@@ -327,28 +341,17 @@ fn run_strategy_storage(
     optimizer: OptimizerSpec,
     objective: ObjectiveSpec,
     seed: u64,
-    hetero: Option<&(dagchkpt_failure::HeteroPlatform, Vec<usize>)>,
+    hetero: Option<&Hetero>,
     hierarchy: &StorageHierarchy,
     select: &StorageSelect,
 ) -> Result<StrategyOutcome, ScenarioError> {
     let n = wf.n_tasks();
     let n_tiers = hierarchy.n_tiers();
     if optimizer == OptimizerSpec::Joint && *select == StorageSelect::PerTask {
-        if let (StrategyCell::Heuristic(h), Some((platform, degrees))) = (strat, hetero) {
-            let order = linearize(wf, h.lin);
-            let j = optimize_joint_storage(
-                wf,
-                platform,
-                &order,
-                h.ckpt,
-                policy,
-                degrees,
-                JOINT_ROUNDS,
-                SelectionSpec::Prefixes,
-                hierarchy,
-                &vec![0; n],
-            )
-            .expect("the prefix family is infallible");
+        if let (StrategyCell::Heuristic(h), Some((platform, sets))) = (strat, hetero) {
+            let ev = ReplicatedEvaluator::from_sets(wf, platform, sets)
+                .with_storage(hierarchy, &vec![0; n]);
+            let j = joint(wf, ev, h.lin, h.ckpt, policy);
             return Ok(StrategyOutcome {
                 name: h.name(),
                 expected: j.expected_makespan,
@@ -377,12 +380,12 @@ fn run_strategy_storage(
             // expected column is then re-derived below as the exact
             // replicated, tier-priced value of that schedule.
             (_, None) | (OptimizerSpec::Proxy, Some(_)) => {
-                let counts = replica_counts(n, hetero, None);
+                let counts = group_sizes(n, hetero.map(|(_, sets)| sets.as_slice()));
                 let swf = storage_wf(wf, hierarchy, &tiers, &counts);
                 let mut out =
                     run_strategy(&swf, model, strat, policy, optimizer, objective, seed, None)?;
-                if let Some((platform, degrees)) = hetero {
-                    let ev = ReplicatedEvaluator::from_degrees(wf, platform, degrees)
+                if let Some((platform, sets)) = hetero {
+                    let ev = ReplicatedEvaluator::from_sets(wf, platform, sets)
                         .with_storage(hierarchy, &tiers);
                     out.expected = ev.expected_makespan(&out.schedule);
                 }
@@ -390,11 +393,11 @@ fn run_strategy_storage(
             }
             // Validation pins non-proxy optimizers to heuristic
             // strategies, so the destructuring below cannot fail.
-            (OptimizerSpec::ReplicationAware, Some((platform, degrees))) => {
+            (OptimizerSpec::ReplicationAware, Some((platform, sets))) => {
                 let StrategyCell::Heuristic(h) = strat else {
                     unreachable!("non-proxy optimizers are validated heuristic-only");
                 };
-                let ev = ReplicatedEvaluator::from_degrees(wf, platform, degrees)
+                let ev = ReplicatedEvaluator::from_sets(wf, platform, sets)
                     .with_storage(hierarchy, &tiers);
                 let r = run_heuristic_with(wf, &ev, h, policy);
                 StrategyOutcome {
@@ -406,30 +409,19 @@ fn run_strategy_storage(
                     tiers: None,
                 }
             }
-            (OptimizerSpec::Joint, Some((platform, degrees))) => {
+            (OptimizerSpec::Joint, Some((platform, sets))) => {
                 let StrategyCell::Heuristic(h) = strat else {
                     unreachable!("non-proxy optimizers are validated heuristic-only");
                 };
-                let order = linearize(wf, h.lin);
                 // A single-tier sub-hierarchy pins the tier (the descent's
                 // tier pass is a no-op on one tier) while budget and
                 // replica sets still co-optimize — including the
                 // contention term at the actual replica-group sizes.
                 let sub = StorageHierarchy::new(vec![hierarchy.tiers()[tier].clone()])
                     .expect("a validated tier forms a valid singleton hierarchy");
-                let j = optimize_joint_storage(
-                    wf,
-                    platform,
-                    &order,
-                    h.ckpt,
-                    policy,
-                    degrees,
-                    JOINT_ROUNDS,
-                    SelectionSpec::Prefixes,
-                    &sub,
-                    &vec![0; n],
-                )
-                .expect("the prefix family is infallible");
+                let ev = ReplicatedEvaluator::from_sets(wf, platform, sets)
+                    .with_storage(&sub, &vec![0; n]);
+                let j = joint(wf, ev, h.lin, h.ckpt, policy);
                 StrategyOutcome {
                     name: h.name(),
                     expected: j.expected_makespan,
@@ -457,28 +449,24 @@ fn run_strategy_storage(
         // platform that collapsed to the homogeneous path is rebuilt as
         // the single reference machine, on which the replicated
         // evaluator reproduces the scalar model exactly.
-        let reference;
-        let (platform, degrees_own);
-        match hetero {
-            Some((p, d)) => {
-                platform = p;
-                degrees_own = d.clone();
-            }
+        let reference: Hetero;
+        let (platform, cell_sets) = match hetero {
+            Some(h) => h,
             None => {
-                reference = dagchkpt_failure::HeteroPlatform::new(
-                    vec![dagchkpt_failure::Processor::reference(model.lambda())],
-                    0.0,
-                )
-                .expect("the reference machine is a valid platform");
-                platform = &reference;
-                degrees_own = vec![1; n];
+                reference = (
+                    HeteroPlatform::new(
+                        vec![dagchkpt_failure::Processor::reference(model.lambda())],
+                        0.0,
+                    )
+                    .expect("the reference machine is a valid platform"),
+                    vec![vec![0]; n],
+                );
+                &reference
             }
-        }
-        let mut ev = match &out.replica_sets {
-            Some(sets) => ReplicatedEvaluator::from_sets(wf, platform, sets),
-            None => ReplicatedEvaluator::from_degrees(wf, platform, &degrees_own),
-        }
-        .with_storage(hierarchy, &vec![tier; n]);
+        };
+        let sets = out.replica_sets.as_ref().unwrap_or(cell_sets);
+        let mut ev = ReplicatedEvaluator::from_sets(wf, platform, sets)
+            .with_storage(hierarchy, &vec![tier; n]);
         let (tiers, e, _) = select_storage(
             &mut ev,
             &out.schedule,
@@ -534,16 +522,17 @@ fn make_proc_injector(proc: &dagchkpt_failure::Processor, seed: u64) -> CellInje
 }
 
 /// A cell's resolved heterogeneous execution context: the platform plus
-/// per-task replication degrees. `None` when the cell runs on the paper's
-/// single reference machine — including the **degenerate collapse**: a
-/// single-reference-processor platform with all degrees 1 takes the
-/// homogeneous code path outright, which is what makes it reproduce the
-/// homogeneous outputs byte for byte.
+/// the per-task prefix replica sets of the cell's replication strategy.
+/// `None` when the cell runs on the paper's single reference machine —
+/// including the **degenerate collapse**: a single-reference-processor
+/// platform with every set `[0]` takes the homogeneous code path
+/// outright, which is what makes it reproduce the homogeneous outputs
+/// byte for byte.
 fn resolve_hetero(
     plan: &CellPlan,
     wf: &Workflow,
     model: FaultModel,
-) -> Result<Option<(dagchkpt_failure::HeteroPlatform, Vec<usize>)>, ScenarioError> {
+) -> Result<Option<Hetero>, ScenarioError> {
     let Some(pspec) = &plan.platform else {
         return Ok(None);
     };
@@ -552,14 +541,17 @@ fn resolve_hetero(
         .replication
         .map(|r| r.strategy())
         .unwrap_or(dagchkpt_core::ReplicationStrategy::None);
-    let degrees = strategy.degrees(wf, platform.n_procs());
+    let sets = prefix_sets(
+        &strategy.degrees(wf, platform.n_procs()),
+        platform.n_procs(),
+    );
     let degenerate = platform.is_degenerate()
         && platform.procs()[0].lambda == model.lambda()
-        && degrees.iter().all(|&d| d == 1);
+        && sets.iter().all(|s| s.as_slice() == [0]);
     Ok(if degenerate {
         None
     } else {
-        Some((platform, degrees))
+        Some((platform, sets))
     })
 }
 
@@ -574,7 +566,7 @@ fn resolve_hetero(
 /// dispatch each heuristic through the backend matching the cell's
 /// platform/replication axes (the replicated evaluator, or the joint
 /// coordinate descent whose per-task replica sets then replace the static
-/// degrees downstream).
+/// prefix sets downstream).
 pub fn run_cell_plan(
     spec: &ScenarioSpec,
     plan: &CellPlan,
@@ -717,7 +709,12 @@ pub fn run_cell_full(spec: &ScenarioSpec, plan: &CellPlan) -> Result<CellExecuti
             ),
         }
         .map_err(&ctx)?;
-        let expected = match &hetero {
+        // The replica sets the row's engines run on: the joint optimizer's
+        // selection when it made one, the cell's static sets otherwise.
+        let replicated = hetero.as_ref().map(|(platform, cell_sets)| {
+            (platform, out.replica_sets.as_ref().unwrap_or(cell_sets))
+        });
+        let expected = match replicated {
             None => out.expected,
             // Storage outcomes already carry the exact tier-priced
             // replicated value whatever the optimizer —
@@ -731,8 +728,8 @@ pub fn run_cell_full(spec: &ScenarioSpec, plan: &CellPlan) -> Result<CellExecuti
             Some(_) if plan.optimizer != OptimizerSpec::Proxy => out.expected,
             // Proxy: the schedule was optimized under the single-machine
             // model, so the replicated value must be computed here.
-            Some((platform, degrees)) => {
-                dagchkpt_core::expected_makespan_replicated(&wf, platform, &out.schedule, degrees)
+            Some((platform, sets)) => {
+                evaluate_replicated_sets(&wf, platform, &out.schedule, sets).expected_makespan
             }
         };
         schedules.push(ScheduleDetail {
@@ -791,7 +788,7 @@ pub fn run_cell_full(spec: &ScenarioSpec, plan: &CellPlan) -> Result<CellExecuti
                 &wf,
                 hierarchy,
                 tiers,
-                &replica_counts(wf.n_tasks(), hetero.as_ref(), out.replica_sets.as_ref()),
+                &group_sizes(wf.n_tasks(), replicated.map(|(_, sets)| sets.as_slice())),
             )),
             _ => Cow::Borrowed(&wf),
         };
@@ -800,27 +797,19 @@ pub fn run_cell_full(spec: &ScenarioSpec, plan: &CellPlan) -> Result<CellExecuti
             let (mc_mean, mc_sem, mc_p50, mc_p95, mc_p99) = match *sim {
                 SimulatorSpec::Analytic => nan5,
                 SimulatorSpec::MonteCarlo { trials } => {
-                    let stats = match (&hetero, &out.replica_sets) {
-                        (None, _) => run_trials_with(
+                    let stats = match replicated {
+                        None => run_trials_with(
                             &sim_wf,
                             &out.schedule,
                             plan.failure.downtime(),
                             TrialSpec::new(trials, plan.seed),
                             |seed| make_injector(&plan.failure, seed),
                         ),
-                        (Some((platform, _)), Some(sets)) => run_replicated_sets_trials_with(
+                        Some((platform, sets)) => run_replicated_sets_trials_with(
                             &sim_wf,
                             &out.schedule,
                             platform,
                             sets,
-                            TrialSpec::new(trials, plan.seed),
-                            |rank, seed| make_proc_injector(&platform.procs()[rank], seed),
-                        ),
-                        (Some((platform, degrees)), None) => run_replicated_trials_with(
-                            &sim_wf,
-                            &out.schedule,
-                            platform,
-                            degrees,
                             TrialSpec::new(trials, plan.seed),
                             |rank, seed| make_proc_injector(&platform.procs()[rank], seed),
                         ),
@@ -838,8 +827,8 @@ pub fn run_cell_full(spec: &ScenarioSpec, plan: &CellPlan) -> Result<CellExecuti
                     compute_rate,
                 } => {
                     let tspec = TrialSpec::new(trials, plan.seed);
-                    let (stats, sketch) = match (&hetero, &out.replica_sets) {
-                        (None, _) => {
+                    let (stats, sketch) = match replicated {
+                        None => {
                             let cfg = NonBlockingConfig {
                                 downtime: plan.failure.downtime(),
                                 compute_rate,
@@ -853,58 +842,15 @@ pub fn run_cell_full(spec: &ScenarioSpec, plan: &CellPlan) -> Result<CellExecuti
                                 |seed| make_injector(&plan.failure, seed),
                             )
                         }
-                        (Some((platform, _)), Some(sets)) => {
-                            // One injector per used replica rank, indexed
-                            // by processor (like the set trial runner).
-                            let ranks = dagchkpt_core::replica_rank_count(sets);
-                            trial_metric_tail_stats(tspec, |i| {
-                                let mut injectors: Vec<CellInjector> = (0..ranks)
-                                    .map(|rank| {
-                                        make_proc_injector(
-                                            &platform.procs()[rank],
-                                            tspec.proc_seed(i, rank),
-                                        )
-                                    })
-                                    .collect();
-                                simulate_replicated_nonblocking_sets(
-                                    &sim_wf,
-                                    &out.schedule,
-                                    platform,
-                                    sets,
-                                    &mut injectors,
-                                    compute_rate,
-                                )
-                                .makespan
-                            })
-                        }
-                        (Some((platform, degrees)), None) => {
-                            // One injector per used replica rank (like the
-                            // blocking runner), not per platform processor.
-                            let ranks = degrees
-                                .iter()
-                                .map(|&d| d.clamp(1, platform.n_procs()))
-                                .max()
-                                .unwrap_or(1);
-                            trial_metric_tail_stats(tspec, |i| {
-                                let mut injectors: Vec<CellInjector> = (0..ranks)
-                                    .map(|rank| {
-                                        make_proc_injector(
-                                            &platform.procs()[rank],
-                                            tspec.proc_seed(i, rank),
-                                        )
-                                    })
-                                    .collect();
-                                simulate_replicated_nonblocking(
-                                    &sim_wf,
-                                    &out.schedule,
-                                    platform,
-                                    degrees,
-                                    &mut injectors,
-                                    compute_rate,
-                                )
-                                .makespan
-                            })
-                        }
+                        Some((platform, sets)) => run_replicated_nonblocking_trials_with(
+                            &sim_wf,
+                            &out.schedule,
+                            platform,
+                            sets,
+                            compute_rate,
+                            tspec,
+                            |rank, seed| make_proc_injector(&platform.procs()[rank], seed),
+                        ),
                     };
                     (
                         stats.mean(),

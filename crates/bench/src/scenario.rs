@@ -858,7 +858,7 @@ pub enum OptimizerSpec {
     ReplicationAware,
     /// Coordinate descent over (checkpoint budget × per-task replica
     /// sets): the replication-aware sweep plus per-task replica
-    /// *selection* (`dagchkpt_core::optimize_joint`). Never worse than
+    /// *selection* (`dagchkpt_core::joint_descent`). Never worse than
     /// `ReplicationAware` on the same cell.
     Joint,
 }

@@ -18,8 +18,9 @@ use crate::scenario::{
     TenantSpec, WorkflowSource,
 };
 use dagchkpt_core::{
-    exact, linearize, linearize_with_priority, optimize_checkpoints, strategies::local_search,
-    CheckpointStrategy, CostRule, LinearizationStrategy, Priority, SweepPolicy, Workflow,
+    exact, linearize, linearize_with_priority, local_search_with, optimize_checkpoints,
+    CheckpointStrategy, CostRule, LinearizationStrategy, Priority, ProxyObjective, SweepPolicy,
+    Workflow,
 };
 use dagchkpt_dag::generators;
 use dagchkpt_failure::FaultModel;
@@ -951,7 +952,13 @@ pub fn extensions(opts: &Options) {
                     CheckpointStrategy::ByDecreasingWorkOverCost,
                     policy,
                 );
-                let ls = local_search(&wf, model, &order, w.schedule.checkpoints().clone(), 64);
+                let ls = local_search_with(
+                    &wf,
+                    &ProxyObjective::new(&wf, model),
+                    &order,
+                    w.schedule.checkpoints().clone(),
+                    64,
+                );
                 assert!(
                     ls.expected_makespan <= w.expected_makespan + 1e-9,
                     "local search must not lose to its seed"

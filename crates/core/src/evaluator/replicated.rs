@@ -6,9 +6,9 @@
 //!
 //! Task `T_i` executes its block `X_i` (recovery plan + work + optional
 //! checkpoint) simultaneously on a **replica set** — a subset of the
-//! platform's processors (historically the `r_i` fastest, i.e. a prefix of
-//! the canonical order; [`ReplicatedEvaluator::from_sets`] accepts any
-//! subset, which is what per-task replica *selection* optimizes over).
+//! platform's processors (any subset — which is what per-task replica
+//! *selection* optimizes over; a static replication *degree* `r_i` is the
+//! fastest-first prefix `[0, …, r_i − 1]`, see [`prefix_sets`]).
 //! Replica `p` needs
 //!
 //! ```text
@@ -81,10 +81,11 @@
 //! blocks' statistics; everything else is a hash lookup. The cache is
 //! *transparent*: on a miss it runs the very same code the uncached path
 //! runs, so memoized and naive evaluations are **bit-identical** (pinned
-//! by tests and the `optimizer/sweep_memoized` bench).
+//! by tests; the perfbench rows `replicated.sweep_ms.n200` and
+//! `replicated.memo_entries` measure the cache).
 //!
-//! On a **degenerate** platform (one reference processor) with all degrees
-//! 1 the evaluator delegates to [`crate::evaluator::evaluate`], so the
+//! On a **degenerate** platform (one reference processor) with every set
+//! `[0]` the evaluator delegates to [`crate::evaluator::evaluate`], so the
 //! homogeneous results are reproduced bit for bit; the non-delegated
 //! formulas agree with Equation (1) to floating-point accuracy (see the
 //! tests).
@@ -207,6 +208,17 @@ pub fn normalize_replica_set(set: &[usize], n_procs: usize) -> Vec<usize> {
     out
 }
 
+/// Fastest-first prefix replica sets of per-task replication `degrees`:
+/// degree `d` becomes `[0, 1, …, d′ − 1]` with `d′ = d` clamped to
+/// `[1, n_procs]`. The one conversion from the static degree shape to
+/// replica sets — every degree-taking entry point goes through it.
+pub fn prefix_sets(degrees: &[usize], n_procs: usize) -> Vec<Vec<usize>> {
+    degrees
+        .iter()
+        .map(|&d| (0..d.clamp(1, n_procs.max(1))).collect())
+        .collect()
+}
+
 /// Number of processor/injector ranks a replica assignment needs: one per
 /// processor index up to the largest any set uses (1 for an all-empty
 /// assignment — normalization never produces one). Shared by the analytic
@@ -290,33 +302,15 @@ impl<'a> ReplicatedEvaluator<'a> {
         }
     }
 
-    /// Evaluator over fastest-first prefix sets of the given degrees (the
-    /// historical [`crate::ReplicationStrategy`] shape).
+    /// Evaluator over the [`prefix_sets`] of per-task replication
+    /// `degrees` (the [`crate::ReplicationStrategy`] shape).
     pub fn from_degrees(wf: &'a Workflow, platform: &'a HeteroPlatform, degrees: &[usize]) -> Self {
-        assert_eq!(
-            degrees.len(),
-            wf.n_tasks(),
-            "one replication degree per task"
-        );
-        let n_procs = platform.n_procs().max(1);
-        let sets: Vec<Vec<usize>> = degrees
-            .iter()
-            .map(|&d| (0..d.clamp(1, n_procs)).collect())
-            .collect();
-        ReplicatedEvaluator {
-            wf: Cow::Borrowed(wf),
-            base: wf,
-            platform,
-            sets,
-            storage: None,
-            memo: RwLock::new(HashMap::new()),
-            memoize: true,
-        }
+        Self::from_sets(wf, platform, &prefix_sets(degrees, platform.n_procs()))
     }
 
     /// Disables (or re-enables) the attempt-statistics cache — the "naive
-    /// full recompute" half of the `optimizer/sweep_memoized` bench.
-    /// Results are bit-identical either way.
+    /// full recompute" baseline of the memoized evaluation. Results are
+    /// bit-identical either way.
     pub fn with_memoization(mut self, memoize: bool) -> Self {
         self.memoize = memoize;
         self
@@ -325,6 +319,11 @@ impl<'a> ReplicatedEvaluator<'a> {
     /// The normalized per-task replica sets.
     pub fn sets(&self) -> &[Vec<usize>] {
         &self.sets
+    }
+
+    /// The platform the replica sets index into.
+    pub fn platform(&self) -> &'a HeteroPlatform {
+        self.platform
     }
 
     /// Attaches a checkpoint storage hierarchy and a per-task tier
@@ -353,6 +352,11 @@ impl<'a> ReplicatedEvaluator<'a> {
     /// The per-task tier assignment, if a storage hierarchy is attached.
     pub fn tiers(&self) -> Option<&[usize]> {
         self.storage.as_ref().map(|s| s.tiers.as_slice())
+    }
+
+    /// The attached storage hierarchy, if any.
+    pub fn hierarchy(&self) -> Option<&'a StorageHierarchy> {
+        self.storage.as_ref().map(|s| s.hierarchy)
     }
 
     /// Moves task `t`'s checkpoint to `tier`, dropping the task's stale
@@ -639,39 +643,19 @@ pub fn expected_makespan_replicated(
     schedule: &Schedule,
     degrees: &[usize],
 ) -> f64 {
-    evaluate_replicated(wf, platform, schedule, degrees).expected_makespan
-}
-
-/// Full replication-aware evaluation over fastest-first prefix replica
-/// sets of the given `degrees` — the one-shot entry point
-/// ([`ReplicatedEvaluator`] is the amortized one).
-///
-/// # Panics
-///
-/// If `degrees.len() != wf.n_tasks()`, or if an effective replication
-/// degree reaches 32 (the failed-attempt closed form enumerates subsets
-/// through a 32-bit mask; the scenario layer caps degrees at
-/// [`MAX_REPLICATION_DEGREE`] anyway).
-pub fn evaluate_replicated(
-    wf: &Workflow,
-    platform: &HeteroPlatform,
-    schedule: &Schedule,
-    degrees: &[usize],
-) -> EvalReport {
-    assert_eq!(
-        degrees.len(),
-        wf.n_tasks(),
-        "one replication degree per task"
-    );
-    if platform.is_degenerate() && degrees.iter().all(|&d| d == 1) {
-        // Bit-for-bit reproduction of the homogeneous evaluator.
-        return evaluator::evaluate(wf, platform.fault_model(), schedule);
-    }
-    ReplicatedEvaluator::from_degrees(wf, platform, degrees).evaluate(schedule)
+    let sets = prefix_sets(degrees, platform.n_procs());
+    evaluate_replicated_sets(wf, platform, schedule, &sets).expected_makespan
 }
 
 /// Full replication-aware evaluation over explicit per-task replica
-/// `sets` (processor indices into `platform.procs()`).
+/// `sets` (processor indices into `platform.procs()`) — the one-shot
+/// entry point ([`ReplicatedEvaluator`] is the amortized one).
+///
+/// # Panics
+///
+/// If `sets.len() != wf.n_tasks()`, or if a set reaches 32 replicas (the
+/// failed-attempt closed form enumerates subsets through a 32-bit mask;
+/// the scenario layer caps degrees at [`MAX_REPLICATION_DEGREE`] anyway).
 pub fn evaluate_replicated_sets(
     wf: &Workflow,
     platform: &HeteroPlatform,
@@ -714,7 +698,7 @@ mod tests {
         let (wf, s) = fig1_schedule();
         let platform = single(3e-3, 1.5);
         let hom = evaluator::evaluate(&wf, FaultModel::new(3e-3, 1.5), &s);
-        let rep = evaluate_replicated(&wf, &platform, &s, &[1; 8]);
+        let rep = ReplicatedEvaluator::from_degrees(&wf, &platform, &[1; 8]).evaluate(&s);
         assert_eq!(
             rep.expected_makespan.to_bits(),
             hom.expected_makespan.to_bits()
@@ -723,12 +707,7 @@ mod tests {
         for (a, b) in rep.per_position.iter().zip(hom.per_position.iter()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        // The amortized evaluator and the set API delegate identically.
-        let via_eval = ReplicatedEvaluator::from_degrees(&wf, &platform, &[1; 8]).evaluate(&s);
-        assert_eq!(
-            via_eval.expected_makespan.to_bits(),
-            hom.expected_makespan.to_bits()
-        );
+        // The one-shot set API delegates identically.
         let via_sets = evaluate_replicated_sets(&wf, &platform, &s, &vec![vec![0]; 8]);
         assert_eq!(
             via_sets.expected_makespan.to_bits(),
@@ -745,7 +724,7 @@ mod tests {
         // one reference processor, but the platform is *not* degenerate, so
         // the group recursion runs.
         let platform = HeteroPlatform::new(vec![Processor::reference(4e-3); 2], 2.0).unwrap();
-        let rep = evaluate_replicated(&wf, &platform, &s, &[1; 8]);
+        let rep = evaluate_replicated_sets(&wf, &platform, &s, &vec![vec![0]; 8]);
         let hom = evaluator::evaluate(&wf, FaultModel::new(4e-3, 2.0), &s);
         let rel = (rep.expected_makespan - hom.expected_makespan).abs() / hom.expected_makespan;
         assert!(
@@ -913,14 +892,14 @@ mod tests {
         let wf = Workflow::uniform(generators::chain(0), 1.0, 0.0);
         let s = Schedule::never(&wf, vec![]).unwrap();
         let platform = HeteroPlatform::homogeneous(2, 1e-3, 0.0).unwrap();
-        let rep = evaluate_replicated(&wf, &platform, &s, &[]);
+        let rep = evaluate_replicated_sets(&wf, &platform, &s, &[]);
         assert_eq!(rep.expected_makespan, 0.0);
         assert_eq!(rep.expected_faults, 0.0);
     }
 
-    /// Prefix replica sets reproduce the degree API **bit for bit** — the
-    /// anchor that lets per-task selection generalize the evaluator without
-    /// touching any golden value.
+    /// Hand-built prefix sets reproduce the degree constructor **bit for
+    /// bit** — the anchor that lets per-task selection generalize the
+    /// evaluator without touching any golden value.
     #[test]
     fn prefix_sets_are_bit_identical_to_degrees() {
         let (wf, s) = fig1_schedule();
@@ -940,7 +919,7 @@ mod tests {
         )
         .unwrap();
         let degrees = [2usize, 1, 3, 2, 1, 3, 2, 1];
-        let by_deg = evaluate_replicated(&wf, &platform, &s, &degrees);
+        let by_deg = ReplicatedEvaluator::from_degrees(&wf, &platform, &degrees).evaluate(&s);
         let sets: Vec<Vec<usize>> = degrees.iter().map(|&d| (0..d).collect()).collect();
         let by_set = evaluate_replicated_sets(&wf, &platform, &s, &sets);
         assert_eq!(
@@ -957,8 +936,8 @@ mod tests {
     }
 
     /// Memoized and naive evaluations are bit-identical, across many
-    /// candidate schedules sharing one cache — the correctness half of the
-    /// `optimizer/sweep_memoized` bench.
+    /// candidate schedules sharing one cache — the correctness half of
+    /// what the perfbench `replicated.sweep_ms.n200` row times.
     #[test]
     fn memoized_evaluation_is_bit_identical_to_naive() {
         let (wf, _) = fig1_schedule();
@@ -1074,7 +1053,7 @@ mod tests {
         // Degenerate platform: the storage-aware evaluator still
         // delegates to the homogeneous evaluator.
         let degenerate = single(3e-3, 1.5);
-        let plain = evaluate_replicated(&wf, &degenerate, &s, &[1; 8]);
+        let plain = evaluate_replicated_sets(&wf, &degenerate, &s, &vec![vec![0]; 8]);
         let stored = ReplicatedEvaluator::from_degrees(&wf, &degenerate, &[1; 8])
             .with_storage(&h, &[0; 8])
             .evaluate(&s);
@@ -1096,7 +1075,7 @@ mod tests {
             0.5,
         )
         .unwrap();
-        let plain = evaluate_replicated(&wf, &platform, &s, &[2; 8]);
+        let plain = evaluate_replicated_sets(&wf, &platform, &s, &vec![vec![0, 1]; 8]);
         let stored = ReplicatedEvaluator::from_degrees(&wf, &platform, &[2; 8])
             .with_storage(&h, &[0; 8])
             .evaluate(&s);
@@ -1215,6 +1194,20 @@ mod tests {
             fresh.expected_makespan.to_bits()
         );
         assert_eq!(ev.tiers(), Some(&tiers[..]));
+    }
+
+    #[test]
+    fn prefix_sets_clamp_degrees_into_the_pool() {
+        assert_eq!(
+            prefix_sets(&[0, 1, 2, 9], 3),
+            vec![vec![0], vec![0], vec![0, 1], vec![0, 1, 2]]
+        );
+        // An empty pool still yields the best-processor fallback.
+        assert_eq!(prefix_sets(&[3], 0), vec![vec![0]]);
+        // Prefix sets are already normalized.
+        for set in prefix_sets(&[1, 2, 3, 4], 4) {
+            assert_eq!(normalize_replica_set(&set, 4), set);
+        }
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!   homogeneous proxy, the memoized replication-aware evaluator, or a
 //!   Monte-Carlo estimator (in `dagchkpt-sim`);
 //! * [`strategies`] — CkptNvr/CkptAlws/CkptW/CkptC/CkptD/CkptPer with the
-//!   objective-generic checkpoint-budget sweep, per-task replica
-//!   *selection* ([`select_replicas`]) and the joint coordinate descent
-//!   ([`optimize_joint`]), plus the task-replication strategy family
+//!   objective-generic checkpoint-budget sweep and the joint coordinate
+//!   descent over per-task replica *sets* ([`joint_descent`]), plus the
+//!   task-replication strategy family
 //!   ([`ReplicationStrategy`]) evaluated exactly by
 //!   [`evaluator::replicated`] on heterogeneous platforms;
 //! * [`heuristics`] — the paper's 14 heuristic combinations;
@@ -33,8 +33,8 @@ pub mod schedule;
 pub mod strategies;
 
 pub use evaluator::replicated::{
-    evaluate_replicated, evaluate_replicated_sets, expected_makespan_replicated,
-    normalize_replica_set, replica_rank_count, ReplicatedEvaluator, MAX_REPLICATION_DEGREE,
+    evaluate_replicated_sets, expected_makespan_replicated, normalize_replica_set, prefix_sets,
+    replica_rank_count, ReplicatedEvaluator, MAX_REPLICATION_DEGREE,
 };
 pub use evaluator::{evaluate, expected_makespan, EvalReport};
 pub use heuristics::{
@@ -46,10 +46,9 @@ pub use model::{CostRule, ModelError, TaskCosts, Workflow};
 pub use objective::{CostSummary, Objective, ProxyObjective};
 pub use schedule::Schedule;
 pub use strategies::{
-    local_search, local_search_with, optimize_checkpoints, optimize_checkpoints_quantile,
-    optimize_checkpoints_with, optimize_joint, optimize_joint_storage, optimize_joint_with,
-    ranking, replica_candidates, replica_candidates_with, select_replicas, select_replicas_with,
-    select_storage, select_tiers_pass, storage_scales, CheckpointStrategy,
-    ExhaustiveSelectionError, JointSchedule, NoRankingError, OptimizedSchedule,
-    ReplicationStrategy, SelectionSpec, StorageStrategy, SweepPolicy,
+    joint_descent, local_search_with, optimize_checkpoints, optimize_checkpoints_quantile,
+    optimize_checkpoints_with, optimize_joint, ranking, replica_candidates, select_storage,
+    select_tiers_pass, storage_scales, CheckpointStrategy, ExhaustiveSelectionError, JointSchedule,
+    NoRankingError, OptimizedSchedule, ReplicationStrategy, SelectionSpec, StorageStrategy,
+    SweepPolicy,
 };

@@ -22,17 +22,19 @@
 //! The sweep and the local search are **generic over the evaluation
 //! backend** ([`crate::objective::Objective`]): [`optimize_checkpoints`]
 //! is the paper's proxy-model entry point, [`optimize_checkpoints_with`]
-//! runs the same enumeration against any objective — notably the memoized
-//! replication-aware evaluator
+//! and [`local_search_with`] run against any objective — notably the
+//! memoized replication-aware evaluator
 //! ([`crate::evaluator::replicated::ReplicatedEvaluator`]), which makes
 //! the sweep *replication-aware* instead of optimizing under the
 //! single-machine proxy and merely re-scoring afterwards.
 //!
-//! On top of the budget sweep, [`select_replicas`] optimizes the second
-//! decision dimension — each task's **replica set** (which processors run
-//! it redundantly, a reliability-vs-speed trade, not just fastest-first
-//! prefixes) — and [`optimize_joint`] coordinate-descends over
-//! (checkpoint budget × per-task replica sets) until a joint fixed point.
+//! On top of the budget sweep, [`joint_descent`] coordinate-descends over
+//! (checkpoint budget × per-task **replica sets** × per-task storage tiers
+//! when the evaluator carries a hierarchy) until a joint fixed point. Each
+//! replica pass re-selects every task's set from [`replica_candidates`] —
+//! which processors run it redundantly, a reliability-vs-speed trade, not
+//! just fastest-first prefixes. [`optimize_joint`] is the same descent
+//! started from static replication degrees.
 
 use crate::evaluator::replicated::{
     normalize_replica_set, ReplicatedEvaluator, MAX_REPLICATION_DEGREE,
@@ -41,7 +43,7 @@ use crate::model::Workflow;
 use crate::objective::{Objective, ProxyObjective};
 use crate::schedule::Schedule;
 use dagchkpt_dag::{FixedBitSet, NodeId};
-use dagchkpt_failure::{FaultModel, HeteroPlatform, Processor, StorageHierarchy};
+use dagchkpt_failure::{FaultModel, HeteroPlatform, StorageHierarchy};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -272,24 +274,12 @@ pub fn ranking(wf: &Workflow, strategy: CheckpointStrategy) -> Result<Vec<NodeId
 /// Evaluator-driven local search over checkpoint sets (this repository's
 /// extension — enabled precisely by the paper's Theorem-3 evaluator):
 /// starting from `init`, repeatedly flips the single checkpoint bit that
-/// most reduces the expected makespan, until no flip improves or
-/// `max_rounds` is exhausted. The linearization stays fixed.
+/// most reduces `obj`'s cost, until no flip improves or `max_rounds` is
+/// exhausted. The linearization stays fixed; pass a [`ProxyObjective`]
+/// for the paper's single-machine model.
 ///
 /// Each round evaluates `n` candidate schedules in parallel; the result is
 /// never worse than the start point.
-pub fn local_search(
-    wf: &Workflow,
-    model: FaultModel,
-    order: &[NodeId],
-    init: FixedBitSet,
-    max_rounds: usize,
-) -> OptimizedSchedule {
-    local_search_with(wf, &ProxyObjective::new(wf, model), order, init, max_rounds)
-}
-
-/// [`local_search`] against an arbitrary [`Objective`] backend — the
-/// proxy-model wrapper above is `local_search_with(wf, &ProxyObjective, …)`
-/// and produces bit-identical results to the pre-generic implementation.
 pub fn local_search_with<O: Objective + ?Sized>(
     wf: &Workflow,
     obj: &O,
@@ -338,8 +328,8 @@ pub fn local_search_with<O: Objective + ?Sized>(
     }
 }
 
-/// Argmin combiner shared by [`sweep`] and [`local_search`] candidates
-/// `(index, expected makespan, payload)`: lower makespan wins, ties
+/// Argmin combiner shared by [`sweep_with_cost`] and [`local_search_with`]
+/// candidates `(index, expected makespan, payload)`: lower makespan wins, ties
 /// toward the smaller index (matching the pre-chunked `min_by`/sort
 /// behavior). Associative with a deterministic result for any grouping,
 /// so chunked fold/reduce chains are stable.
@@ -588,21 +578,6 @@ fn sweep_with_cost(
     }
 }
 
-/// The candidate replica sets per-task selection searches, for a given
-/// platform: every **speed prefix** (fastest `r` processors, the
-/// historical family), every **reliability prefix** (the `r` processors of
-/// lowest failure rate — the other end of the reliability-vs-speed trade),
-/// and every **singleton**, for `r = 1 ..= min(P, max_degree)`, normalized
-/// and deduplicated in that order (which fixes tie-breaking). Small by
-/// construction — `O(P)` candidates — yet it contains the choices that
-/// matter: run fast, run safe, mix, or run solo on any one machine.
-pub fn replica_candidates(platform: &HeteroPlatform, max_degree: usize) -> Vec<Vec<usize>> {
-    let procs = platform.procs();
-    let p = procs.len();
-    let cap = max_degree.clamp(1, p).min(MAX_REPLICATION_DEGREE);
-    replica_candidates_prefixes(procs, p, cap)
-}
-
 /// How per-task replica selection enumerates its candidate sets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SelectionSpec {
@@ -640,19 +615,53 @@ impl fmt::Display for ExhaustiveSelectionError {
 
 impl std::error::Error for ExhaustiveSelectionError {}
 
-/// [`replica_candidates`] under an explicit [`SelectionSpec`]:
-/// `Prefixes` is the infallible structured family; `Exhaustive`
-/// enumerates every non-empty processor subset in ascending bitmask order
-/// (a deterministic order, so downstream tie-breaks are stable), failing
-/// on platforms with more than [`MAX_REPLICATION_DEGREE`] processors.
-pub fn replica_candidates_with(
+/// The candidate replica sets per-task selection searches on `platform`.
+///
+/// * [`SelectionSpec::Prefixes`] — every **speed prefix** (fastest `r`
+///   processors), every **reliability prefix** (the `r` processors of
+///   lowest failure rate — the other end of the reliability-vs-speed
+///   trade), and every **singleton**, for `r = 1 ..= min(P, max_degree)`,
+///   normalized and deduplicated in that order (which fixes tie-breaking).
+///   Small by construction — `O(P)` candidates — yet it contains the
+///   choices that matter: run fast, run safe, mix, or run solo on any one
+///   machine. Infallible.
+/// * [`SelectionSpec::Exhaustive`] — every non-empty processor subset in
+///   ascending bitmask order (a deterministic order, so downstream
+///   tie-breaks are stable), failing on platforms with more than
+///   [`MAX_REPLICATION_DEGREE`] processors.
+pub fn replica_candidates(
     platform: &HeteroPlatform,
     max_degree: usize,
     selection: SelectionSpec,
 ) -> Result<Vec<Vec<usize>>, ExhaustiveSelectionError> {
-    let p = platform.procs().len();
+    let procs = platform.procs();
+    let p = procs.len();
     match selection {
-        SelectionSpec::Prefixes => Ok(replica_candidates(platform, max_degree)),
+        SelectionSpec::Prefixes => {
+            let cap = max_degree.clamp(1, p).min(MAX_REPLICATION_DEGREE);
+            // Reliability order: lowest λ first, ties toward the canonical
+            // (fastest-first) index so the order is deterministic.
+            let mut by_reliability: Vec<usize> = (0..p).collect();
+            by_reliability
+                .sort_by(|&a, &b| procs[a].lambda.total_cmp(&procs[b].lambda).then(a.cmp(&b)));
+            let mut out: Vec<Vec<usize>> = Vec::new();
+            let mut push = |set: Vec<usize>| {
+                let set = normalize_replica_set(&set, p);
+                if !out.contains(&set) {
+                    out.push(set);
+                }
+            };
+            for r in 1..=cap {
+                push((0..r).collect());
+            }
+            for r in 1..=cap {
+                push(by_reliability[..r].to_vec());
+            }
+            for i in 0..p {
+                push(vec![i]);
+            }
+            Ok(out)
+        }
         SelectionSpec::Exhaustive => {
             if p > MAX_REPLICATION_DEGREE {
                 return Err(ExhaustiveSelectionError { n_procs: p });
@@ -667,31 +676,6 @@ pub fn replica_candidates_with(
     }
 }
 
-/// The structured candidate family shared by [`replica_candidates`].
-fn replica_candidates_prefixes(procs: &[Processor], p: usize, cap: usize) -> Vec<Vec<usize>> {
-    // Reliability order: lowest λ first, ties toward the canonical
-    // (fastest-first) index so the order is deterministic.
-    let mut by_reliability: Vec<usize> = (0..p).collect();
-    by_reliability.sort_by(|&a, &b| procs[a].lambda.total_cmp(&procs[b].lambda).then(a.cmp(&b)));
-    let mut out: Vec<Vec<usize>> = Vec::new();
-    let mut push = |set: Vec<usize>| {
-        let set = normalize_replica_set(&set, p);
-        if !out.contains(&set) {
-            out.push(set);
-        }
-    };
-    for r in 1..=cap {
-        push((0..r).collect());
-    }
-    for r in 1..=cap {
-        push(by_reliability[..r].to_vec());
-    }
-    for i in 0..p {
-        push(vec![i]);
-    }
-    out
-}
-
 /// Result of a joint (checkpoint budget × replica selection) optimization.
 #[derive(Debug, Clone)]
 pub struct JointSchedule {
@@ -704,7 +688,8 @@ pub struct JointSchedule {
     pub expected_makespan: f64,
     /// Per-task checkpoint storage tiers (indices into the hierarchy's
     /// declaration order), when the descent included the storage axis
-    /// ([`optimize_joint_storage`]). `None` for the two-axis descent.
+    /// (an evaluator carrying a hierarchy). `None` for the two-axis
+    /// descent.
     pub tiers: Option<Vec<usize>>,
     /// Winning checkpoint budget of the final sweep.
     pub best_n: Option<usize>,
@@ -714,68 +699,17 @@ pub struct JointSchedule {
     pub rounds: usize,
 }
 
-/// Per-task replica **selection**: starting from `init` (one replica set
-/// per task), repeatedly re-assigns each task the candidate set (from
-/// [`replica_candidates`]) minimizing the exact replicated expected
-/// makespan of `schedule`, task by task in id order, until a full pass
-/// improves nothing or `max_rounds` is exhausted. Returns the selected
-/// sets, their expected makespan, and the number of candidate evaluations.
+/// One coordinate pass of per-task replica **selection** over an existing
+/// evaluator: re-assigns each task, in id order, the candidate set
+/// minimizing the exact replicated expected makespan of `schedule`.
+/// `best_e` must hold the expected makespan of `schedule` under `ev`'s
+/// current sets; returns whether any task moved. Never worse than the
+/// starting assignment.
 ///
 /// Each candidate evaluation is a full Theorem-3 recursion, but the
 /// evaluator's memoized attempt statistics make the unchanged tasks'
-/// blocks cache hits, so a pass costs far less than `n × |candidates|`
-/// cold evaluations. The result is never worse than `init`.
-pub fn select_replicas(
-    wf: &Workflow,
-    platform: &HeteroPlatform,
-    schedule: &Schedule,
-    init: &[Vec<usize>],
-    max_degree: usize,
-    max_rounds: usize,
-) -> (Vec<Vec<usize>>, f64, usize) {
-    select_replicas_with(
-        wf,
-        platform,
-        schedule,
-        init,
-        max_degree,
-        max_rounds,
-        SelectionSpec::Prefixes,
-    )
-    .expect("the prefix family is infallible")
-}
-
-/// [`select_replicas`] under an explicit candidate family
-/// ([`SelectionSpec`]): `Exhaustive` searches every non-empty processor
-/// subset per task — the complete lattice, affordable only for `P ≤ 8` —
-/// and fails with the typed [`ExhaustiveSelectionError`] beyond that.
-#[allow(clippy::too_many_arguments)]
-pub fn select_replicas_with(
-    wf: &Workflow,
-    platform: &HeteroPlatform,
-    schedule: &Schedule,
-    init: &[Vec<usize>],
-    max_degree: usize,
-    max_rounds: usize,
-    selection: SelectionSpec,
-) -> Result<(Vec<Vec<usize>>, f64, usize), ExhaustiveSelectionError> {
-    let candidates = replica_candidates_with(platform, max_degree, selection)?;
-    let mut ev = ReplicatedEvaluator::from_sets(wf, platform, init);
-    let mut best_e = ev.expected_makespan(schedule);
-    let mut evaluated = 1usize;
-    for _ in 0..max_rounds {
-        if !select_replicas_pass(&mut ev, schedule, &candidates, &mut best_e, &mut evaluated) {
-            break;
-        }
-    }
-    Ok((ev.sets().to_vec(), best_e, evaluated))
-}
-
-/// One coordinate pass of [`select_replicas`] over an existing evaluator
-/// (so callers iterating selection — notably [`optimize_joint`] — keep its
-/// attempt-statistics cache warm across passes and stages). `best_e` must
-/// hold the expected makespan of `schedule` under `ev`'s current sets;
-/// returns whether any task moved.
+/// blocks cache hits — and callers iterating passes (notably
+/// [`joint_descent`]) keep that cache warm across passes and stages.
 fn select_replicas_pass(
     ev: &mut ReplicatedEvaluator,
     schedule: &Schedule,
@@ -815,16 +749,72 @@ fn select_replicas_pass(
     improved
 }
 
-/// Joint optimization by coordinate descent over the two decision
-/// dimensions: (1) sweep the checkpoint budget of `strategy` under the
-/// replication-aware objective for the current replica assignment, then
-/// (2) re-select each task's replica set for the winning schedule
-/// ([`select_replicas`]); repeat until neither coordinate improves or
-/// `max_rounds` joint rounds pass. `init_degrees` seeds the assignment
-/// with fastest-first prefixes (the static strategy family), so the result
-/// is **never worse than the replication-aware sweep alone** — round 1's
-/// sweep *is* that sweep, and every later move is accepted only on strict
-/// improvement.
+/// Joint optimization by coordinate descent, starting from `ev`'s replica
+/// sets (and storage tiers, when it carries a hierarchy): each round
+/// (1) sweeps the checkpoint budget of `strategy` against `ev`, then
+/// (2) runs one replica-selection pass over the [`replica_candidates`]
+/// family `selection` for the winning schedule, and (3) with a storage
+/// hierarchy attached, one tier-selection pass ([`select_tiers_pass`]);
+/// it repeats until a round stops improving or `max_rounds` rounds pass.
+/// The candidate degree cap is the largest starting set.
+///
+/// Round 1's sweep *is* the replication-aware sweep on the starting
+/// assignment and every later move is accepted only on strict
+/// improvement, so the result is **never worse than that sweep**. One
+/// evaluator serves the whole descent: its attempt-statistics cache stays
+/// warm across coordinates and rounds (only the entries of tasks whose
+/// set or tier actually moves are invalidated).
+pub fn joint_descent(
+    wf: &Workflow,
+    mut ev: ReplicatedEvaluator,
+    order: &[NodeId],
+    strategy: CheckpointStrategy,
+    policy: SweepPolicy,
+    max_rounds: usize,
+    selection: SelectionSpec,
+) -> Result<JointSchedule, ExhaustiveSelectionError> {
+    let max_degree = ev.sets().iter().map(Vec::len).max().unwrap_or(1);
+    let candidates = replica_candidates(ev.platform(), max_degree, selection)?;
+    let hierarchy = ev.hierarchy();
+    let mut best: Option<JointSchedule> = None;
+    let mut evaluated = 0usize;
+    let mut rounds = 0usize;
+    for _ in 0..max_rounds.max(1) {
+        rounds += 1;
+        let opt = optimize_checkpoints_with(wf, &ev, order, strategy, policy);
+        evaluated += opt.evaluated;
+        // One pass per coordinate per joint round; the outer loop
+        // provides the iteration.
+        let mut e = ev.expected_makespan(&opt.schedule);
+        evaluated += 1;
+        select_replicas_pass(&mut ev, &opt.schedule, &candidates, &mut e, &mut evaluated);
+        if let Some(h) = hierarchy {
+            select_tiers_pass(&mut ev, &opt.schedule, h.n_tiers(), &mut e, &mut evaluated);
+        }
+        let tol = 1e-12 * e.abs().max(1.0);
+        let better = best.as_ref().is_none_or(|b| e < b.expected_makespan - tol);
+        if !better {
+            break;
+        }
+        best = Some(JointSchedule {
+            best_n: opt.best_n,
+            schedule: opt.schedule,
+            replica_sets: ev.sets().to_vec(),
+            expected_makespan: e,
+            tiers: ev.tiers().map(|t| t.to_vec()),
+            evaluated,
+            rounds,
+        });
+    }
+    let mut out = best.expect("at least one joint round ran");
+    out.evaluated = evaluated;
+    out.rounds = rounds;
+    Ok(out)
+}
+
+/// [`joint_descent`] over (checkpoint budget × per-task replica sets)
+/// started from the [`crate::prefix_sets`] of static replication
+/// `init_degrees`, over the [`SelectionSpec::Prefixes`] candidate family.
 pub fn optimize_joint(
     wf: &Workflow,
     platform: &HeteroPlatform,
@@ -834,82 +824,10 @@ pub fn optimize_joint(
     init_degrees: &[usize],
     max_rounds: usize,
 ) -> JointSchedule {
-    optimize_joint_with(
-        wf,
-        platform,
-        order,
-        strategy,
-        policy,
-        init_degrees,
-        max_rounds,
-        SelectionSpec::Prefixes,
-    )
-    .expect("the prefix family is infallible")
-}
-
-/// [`optimize_joint`] under an explicit candidate family
-/// ([`SelectionSpec`]); see [`select_replicas_with`].
-#[allow(clippy::too_many_arguments)]
-pub fn optimize_joint_with(
-    wf: &Workflow,
-    platform: &HeteroPlatform,
-    order: &[NodeId],
-    strategy: CheckpointStrategy,
-    policy: SweepPolicy,
-    init_degrees: &[usize],
-    max_rounds: usize,
-    selection: SelectionSpec,
-) -> Result<JointSchedule, ExhaustiveSelectionError> {
-    let n_procs = platform.n_procs().max(1);
-    let max_degree = init_degrees
-        .iter()
-        .map(|&d| d.clamp(1, n_procs))
-        .max()
-        .unwrap_or(1)
-        .clamp(1, MAX_REPLICATION_DEGREE.min(n_procs));
-    let init_sets: Vec<Vec<usize>> = init_degrees
-        .iter()
-        .map(|&d| (0..d.clamp(1, n_procs)).collect())
-        .collect();
-    // One evaluator for the whole descent: its attempt-statistics cache
-    // stays warm across both coordinates and across rounds (only the
-    // entries of tasks whose replica set actually moves are invalidated).
-    let mut ev = ReplicatedEvaluator::from_sets(wf, platform, &init_sets);
-    let candidates = replica_candidates_with(platform, max_degree, selection)?;
-    let mut best: Option<JointSchedule> = None;
-    let mut evaluated = 0usize;
-    let mut rounds = 0usize;
-    for _ in 0..max_rounds.max(1) {
-        rounds += 1;
-        let opt = optimize_checkpoints_with(wf, &ev, order, strategy, policy);
-        evaluated += opt.evaluated;
-        // One selection pass per joint round; the outer loop provides the
-        // iteration.
-        let mut e = ev.expected_makespan(&opt.schedule);
-        evaluated += 1;
-        select_replicas_pass(&mut ev, &opt.schedule, &candidates, &mut e, &mut evaluated);
-        let tol = 1e-12 * e.abs().max(1.0);
-        let better = best.as_ref().is_none_or(|b| e < b.expected_makespan - tol);
-        let stalled = !better;
-        if better {
-            best = Some(JointSchedule {
-                best_n: opt.best_n,
-                schedule: opt.schedule,
-                replica_sets: ev.sets().to_vec(),
-                expected_makespan: e,
-                tiers: None,
-                evaluated,
-                rounds,
-            });
-        }
-        if stalled {
-            break;
-        }
-    }
-    let mut out = best.expect("at least one joint round ran");
-    out.evaluated = evaluated;
-    out.rounds = rounds;
-    Ok(out)
+    let ev = ReplicatedEvaluator::from_degrees(wf, platform, init_degrees);
+    let prefixes = SelectionSpec::Prefixes;
+    joint_descent(wf, ev, order, strategy, policy, max_rounds, prefixes)
+        .expect("the prefix family is infallible")
 }
 
 /// How the checkpoint **storage tier** of each task is chosen — the third
@@ -983,7 +901,7 @@ pub fn storage_scales(
 }
 
 /// One coordinate pass of per-task **tier** selection — the storage
-/// analogue of [`select_replicas_pass`], over an evaluator carrying a
+/// analogue of the replica-selection pass, over an evaluator carrying a
 /// storage hierarchy ([`ReplicatedEvaluator::with_storage`]). `best_e`
 /// must hold the expected makespan of `schedule` under `ev`'s current
 /// assignment; returns whether any task moved.
@@ -1081,76 +999,6 @@ pub fn select_storage(
     )
 }
 
-/// [`optimize_joint`] with the **third axis**: coordinate descent over
-/// (checkpoint budget × per-task replica sets × per-task storage tiers).
-/// Each round sweeps the budget under the current replica and tier
-/// assignment, runs one replica-selection pass, then one tier-selection
-/// pass; rounds are accepted only on strict improvement, so the result is
-/// never worse than the two-axis descent started on the same initial
-/// tier assignment.
-#[allow(clippy::too_many_arguments)]
-pub fn optimize_joint_storage(
-    wf: &Workflow,
-    platform: &'_ HeteroPlatform,
-    order: &[NodeId],
-    strategy: CheckpointStrategy,
-    policy: SweepPolicy,
-    init_degrees: &[usize],
-    max_rounds: usize,
-    selection: SelectionSpec,
-    hierarchy: &StorageHierarchy,
-    init_tiers: &[usize],
-) -> Result<JointSchedule, ExhaustiveSelectionError> {
-    let n_procs = platform.n_procs().max(1);
-    let max_degree = init_degrees
-        .iter()
-        .map(|&d| d.clamp(1, n_procs))
-        .max()
-        .unwrap_or(1)
-        .clamp(1, MAX_REPLICATION_DEGREE.min(n_procs));
-    let init_sets: Vec<Vec<usize>> = init_degrees
-        .iter()
-        .map(|&d| (0..d.clamp(1, n_procs)).collect())
-        .collect();
-    let n_tiers = hierarchy.n_tiers();
-    let mut ev = ReplicatedEvaluator::from_sets(wf, platform, &init_sets)
-        .with_storage(hierarchy, init_tiers);
-    let candidates = replica_candidates_with(platform, max_degree, selection)?;
-    let mut best: Option<JointSchedule> = None;
-    let mut evaluated = 0usize;
-    let mut rounds = 0usize;
-    for _ in 0..max_rounds.max(1) {
-        rounds += 1;
-        let opt = optimize_checkpoints_with(wf, &ev, order, strategy, policy);
-        evaluated += opt.evaluated;
-        let mut e = ev.expected_makespan(&opt.schedule);
-        evaluated += 1;
-        select_replicas_pass(&mut ev, &opt.schedule, &candidates, &mut e, &mut evaluated);
-        select_tiers_pass(&mut ev, &opt.schedule, n_tiers, &mut e, &mut evaluated);
-        let tol = 1e-12 * e.abs().max(1.0);
-        let better = best.as_ref().is_none_or(|b| e < b.expected_makespan - tol);
-        let stalled = !better;
-        if better {
-            best = Some(JointSchedule {
-                best_n: opt.best_n,
-                schedule: opt.schedule,
-                replica_sets: ev.sets().to_vec(),
-                expected_makespan: e,
-                tiers: ev.tiers().map(|t| t.to_vec()),
-                evaluated,
-                rounds,
-            });
-        }
-        if stalled {
-            break;
-        }
-    }
-    let mut out = best.expect("at least one joint round ran");
-    out.evaluated = evaluated;
-    out.rounds = rounds;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1164,6 +1012,30 @@ mod tests {
             vec![50.0, 10.0, 40.0, 20.0, 60.0, 30.0],
             CostRule::ProportionalToWork { ratio: 0.1 },
         )
+    }
+
+    /// Replica-selection passes from `init` until one moves nothing (at
+    /// most `max_rounds`), the way [`joint_descent`] iterates them: the
+    /// selected sets, their expected makespan and the evaluation count.
+    fn select_to_fixed_point(
+        wf: &Workflow,
+        platform: &HeteroPlatform,
+        schedule: &Schedule,
+        init: &[Vec<usize>],
+        max_degree: usize,
+        max_rounds: usize,
+        selection: SelectionSpec,
+    ) -> Result<(Vec<Vec<usize>>, f64, usize), ExhaustiveSelectionError> {
+        let candidates = replica_candidates(platform, max_degree, selection)?;
+        let mut ev = ReplicatedEvaluator::from_sets(wf, platform, init);
+        let mut best_e = ev.expected_makespan(schedule);
+        let mut evaluated = 1usize;
+        for _ in 0..max_rounds {
+            if !select_replicas_pass(&mut ev, schedule, &candidates, &mut best_e, &mut evaluated) {
+                break;
+            }
+        }
+        Ok((ev.sets().to_vec(), best_e, evaluated))
     }
 
     /// Write-fast/read-slow vs write-slow/read-fast two-tier hierarchy —
@@ -1265,17 +1137,14 @@ mod tests {
         .unwrap();
         let order = topo::topological_order(wf.dag());
         let h = two_tier_hierarchy();
-        let joint = optimize_joint_storage(
+        let joint = joint_descent(
             &wf,
-            &platform,
+            ReplicatedEvaluator::from_degrees(&wf, &platform, &[2; 6]).with_storage(&h, &[0; 6]),
             &order,
             CheckpointStrategy::ByDecreasingWork,
             SweepPolicy::Exhaustive,
-            &[2; 6],
             4,
             SelectionSpec::Prefixes,
-            &h,
-            &[0; 6],
         )
         .unwrap();
         let tiers = joint.tiers.as_ref().expect("storage descent reports tiers");
@@ -1553,7 +1422,7 @@ mod tests {
         let seed = dagchkpt_dag::FixedBitSet::new(6);
         let base = Schedule::never(&wf, order.clone()).unwrap();
         let seed_e = crate::evaluator::expected_makespan(&wf, m, &base);
-        let ls = local_search(&wf, m, &order, seed, 32);
+        let ls = local_search_with(&wf, &ProxyObjective::new(&wf, m), &order, seed, 32);
         assert!(ls.expected_makespan <= seed_e + 1e-9);
         // On a chain, local search from empty must reach at most the CkptW
         // sweep value (single-bit flips dominate prefix-of-ranking sets).
@@ -1580,9 +1449,9 @@ mod tests {
         let wf = chain_wf();
         let m = FaultModel::new(5e-3, 0.0);
         let (opt_schedule, opt_value) = crate::exact::chain::solve_chain(&wf, m).unwrap();
-        let ls = local_search(
+        let ls = local_search_with(
             &wf,
-            m,
+            &ProxyObjective::new(&wf, m),
             opt_schedule.order(),
             opt_schedule.checkpoints().clone(),
             16,
@@ -1669,7 +1538,7 @@ mod tests {
             1.0,
         )
         .unwrap();
-        let cands = replica_candidates(&platform, 3);
+        let cands = replica_candidates(&platform, 3, SelectionSpec::Prefixes).unwrap();
         // Speed prefixes.
         assert!(cands.contains(&vec![0]));
         assert!(cands.contains(&vec![0, 1]));
@@ -1682,7 +1551,7 @@ mod tests {
         // Deduplicated and degree-capped.
         let unique: std::collections::BTreeSet<_> = cands.iter().cloned().collect();
         assert_eq!(unique.len(), cands.len());
-        for c in &replica_candidates(&platform, 2) {
+        for c in &replica_candidates(&platform, 2, SelectionSpec::Prefixes).unwrap() {
             assert!(c.len() <= 2);
         }
     }
@@ -1711,7 +1580,9 @@ mod tests {
         let before =
             crate::evaluator::replicated::evaluate_replicated_sets(&wf, &platform, &s, &init)
                 .expected_makespan;
-        let (sets, e, evaluated) = select_replicas(&wf, &platform, &s, &init, 2, 8);
+        let (sets, e, evaluated) =
+            select_to_fixed_point(&wf, &platform, &s, &init, 2, 8, SelectionSpec::Prefixes)
+                .unwrap();
         assert!(e <= before + 1e-9 * before, "selection made things worse");
         assert!(e < before, "selection should strictly improve here");
         assert!(evaluated > 1);
@@ -1752,7 +1623,9 @@ mod tests {
             crate::evaluator::replicated::evaluate_replicated_sets(&wf, &platform, &s, &init)
                 .expected_makespan;
         assert!(stuck.is_infinite(), "premise: init must be infinite");
-        let (sets, e, _) = select_replicas(&wf, &platform, &s, &init, 2, 4);
+        let (sets, e, _) =
+            select_to_fixed_point(&wf, &platform, &s, &init, 2, 4, SelectionSpec::Prefixes)
+                .unwrap();
         assert!(e.is_finite(), "selection failed to escape +∞: {sets:?}");
         assert!(sets[0].contains(&1), "sets {sets:?}");
         // And the joint optimizer built on it escapes too.
@@ -1899,29 +1772,22 @@ mod tests {
     #[test]
     fn exhaustive_selection_error_text_is_pinned() {
         let platform = HeteroPlatform::homogeneous(9, 1e-3, 1.0).unwrap();
-        let err = replica_candidates_with(&platform, 2, SelectionSpec::Exhaustive).unwrap_err();
+        let err = replica_candidates(&platform, 2, SelectionSpec::Exhaustive).unwrap_err();
         assert_eq!(err, ExhaustiveSelectionError { n_procs: 9 });
         assert_eq!(
             err.to_string(),
             "exhaustive replica-subset enumeration needs 2^P candidate sets per task; \
              P = 9 processors exceeds the cap of 8"
         );
-        // The error propagates through the selection entry points too.
+        // The error propagates through the joint descent too.
         let wf = chain_wf();
         let order = topo::topological_order(wf.dag());
-        let s = Schedule::always(&wf, order.clone()).unwrap();
-        let init = vec![vec![0usize]; wf.n_tasks()];
-        assert!(
-            select_replicas_with(&wf, &platform, &s, &init, 2, 1, SelectionSpec::Exhaustive)
-                .is_err()
-        );
-        assert!(optimize_joint_with(
+        assert!(joint_descent(
             &wf,
-            &platform,
+            ReplicatedEvaluator::from_degrees(&wf, &platform, &[1; 6]),
             &order,
             CheckpointStrategy::ByDecreasingWork,
             SweepPolicy::Exhaustive,
-            &[1; 6],
             1,
             SelectionSpec::Exhaustive,
         )
@@ -1931,7 +1797,7 @@ mod tests {
     #[test]
     fn exhaustive_candidates_enumerate_every_subset() {
         let platform = HeteroPlatform::homogeneous(3, 1e-3, 1.0).unwrap();
-        let cands = replica_candidates_with(&platform, 1, SelectionSpec::Exhaustive).unwrap();
+        let cands = replica_candidates(&platform, 1, SelectionSpec::Exhaustive).unwrap();
         // 2^3 − 1 subsets, unique, ignoring the degree cap.
         assert_eq!(cands.len(), 7);
         let unique: std::collections::BTreeSet<_> = cands.iter().cloned().collect();
@@ -1947,10 +1813,12 @@ mod tests {
         ] {
             assert!(cands.contains(&set), "missing {set:?}");
         }
-        // Prefixes via the `_with` entry point is the legacy family.
+        // The structured family on the same pool, capped at degree 2:
+        // speed prefixes, then (equal rates, so the same) reliability
+        // prefixes, then the remaining singletons.
         assert_eq!(
-            replica_candidates_with(&platform, 2, SelectionSpec::Prefixes).unwrap(),
-            replica_candidates(&platform, 2)
+            replica_candidates(&platform, 2, SelectionSpec::Prefixes).unwrap(),
+            vec![vec![0], vec![0, 1], vec![1], vec![2]]
         );
     }
 
@@ -1979,9 +1847,11 @@ mod tests {
         let order = topo::topological_order(wf.dag());
         let s = Schedule::always(&wf, order).unwrap();
         let init = vec![vec![0usize]; wf.n_tasks()];
-        let (_, e_prefix, _) = select_replicas(&wf, &platform, &s, &init, 3, 4);
+        let (_, e_prefix, _) =
+            select_to_fixed_point(&wf, &platform, &s, &init, 3, 4, SelectionSpec::Prefixes)
+                .unwrap();
         let (sets, e_exh, _) =
-            select_replicas_with(&wf, &platform, &s, &init, 3, 4, SelectionSpec::Exhaustive)
+            select_to_fixed_point(&wf, &platform, &s, &init, 3, 4, SelectionSpec::Exhaustive)
                 .unwrap();
         assert!(
             e_exh <= e_prefix * (1.0 + 1e-12),

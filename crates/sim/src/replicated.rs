@@ -6,10 +6,10 @@
 //! # Shared semantics
 //!
 //! For every block attempt, replica `p` (a member of the task's **replica
-//! set** — historically the first `r_i` processors of the platform's
-//! canonical order, or any explicit subset through the `*_sets` entry
-//! points, which is what the joint optimizer's per-task replica selection
-//! produces) computes its deterministic completion time
+//! set** — any subset of the platform's processors, as the joint
+//! optimizer's per-task selection produces; a static replication degree
+//! `r_i` is the prefix set `dagchkpt_core::prefix_sets` builds) computes
+//! its deterministic completion time
 //! `d_p` from its speed and bandwidths and draws its first fault from its
 //! own injector, **renewed at the attempt start**. The attempt succeeds at
 //! `min{d_p : F_p ≥ d_p}`; when every replica faults first (a *group
@@ -20,9 +20,10 @@
 //!
 //! # Blocking vs non-blocking
 //!
-//! [`simulate_replicated`] folds the winner's checkpoint write into its
-//! block (synchronous writes). [`simulate_replicated_nonblocking`] instead
-//! enqueues the write on a platform-wide FIFO (the shared stable-storage
+//! [`simulate_replicated_sets`] folds the winner's checkpoint write into
+//! its block (synchronous writes).
+//! [`simulate_replicated_nonblocking_sets`] instead enqueues the write on
+//! a platform-wide FIFO (the shared stable-storage
 //! channel): while writes are in flight every replica computes at
 //! `compute_rate`, a checkpoint becomes durable (recoverable) only when
 //! its write completes, and a group failure kills the in-flight queue —
@@ -49,10 +50,19 @@
 //! storage-aware analytic evaluator unchanged; a unit tier scales by
 //! exactly `1.0`, which is bitwise invisible.
 //!
+//! # Trial runners
+//!
+//! [`run_replicated_sets_trials_with`] (blocking, on the zero-allocation
+//! [`simulate_replicated_planned`] fast path) and
+//! [`run_replicated_nonblocking_trials_with`] fold seeded trials into
+//! statistics that are bit-identical for any thread count;
+//! [`run_replicated_trials_with`] is the blocking runner started from
+//! static degrees.
+//!
 //! # Degenerate delegation
 //!
-//! On a degenerate platform (one reference processor) with all degrees 1,
-//! both engines and the trial runner delegate to their homogeneous
+//! On a degenerate platform (one reference processor) with every set
+//! `[0]`, both engines and the trial runners delegate to their homogeneous
 //! counterparts, with processor rank 0 seeded by `TrialSpec::trial_seed`
 //! verbatim ([`TrialSpec::proc_seed`]) — so a degenerate platform
 //! reproduces the homogeneous statistics **bit for bit**.
@@ -60,9 +70,11 @@
 use crate::engine::{simulate, SimConfig, SimResult};
 use crate::events::UnitKind;
 use crate::memory::MemoryState;
-use crate::montecarlo::{planned_result_stats, TrialSpec, TrialStats};
+use crate::montecarlo::{planned_result_stats, trial_metric_tail_stats, TrialSpec, TrialStats};
 use crate::nonblocking::{simulate_nonblocking, NonBlockingConfig};
 use crate::plan::{recovery_plan, recovery_plan_with, PlanStep};
+use crate::quantile::QuantileSketch;
+use crate::stats::Stats;
 use crate::trialplan::{PlannedResult, TrialPlan, TrialScratch};
 use dagchkpt_core::{Schedule, Workflow};
 use dagchkpt_dag::{FixedBitSet, NodeId};
@@ -80,8 +92,7 @@ enum Attempt {
 /// Runs one group attempt over the replica `set` (processor indices into
 /// `procs`, which also index `injectors`): per-replica deterministic
 /// durations from `duration_of`, per-replica fault draws renewed at the
-/// attempt start. For a prefix set `[0, …, r−1]` this is exactly the
-/// historical degree-`r` attempt, draw for draw.
+/// attempt start.
 fn group_attempt<I: FaultInjector>(
     procs: &[Processor],
     set: &[usize],
@@ -136,20 +147,8 @@ fn empty_result() -> SimResult {
     }
 }
 
-fn delegates(platform: &HeteroPlatform, degrees: &[usize]) -> bool {
-    platform.is_degenerate() && degrees.iter().all(|&d| d == 1)
-}
-
-fn delegates_sets(platform: &HeteroPlatform, sets: &[Vec<usize>]) -> bool {
-    platform.is_degenerate() && sets.iter().all(|s| s.as_slice() == [0])
-}
-
-fn max_degree(platform: &HeteroPlatform, degrees: &[usize]) -> usize {
-    degrees
-        .iter()
-        .map(|&d| d.clamp(1, platform.n_procs()))
-        .max()
-        .unwrap_or(1)
+fn delegates<S: AsRef<[usize]>>(platform: &HeteroPlatform, sets: &[S]) -> bool {
+    platform.is_degenerate() && sets.iter().all(|s| s.as_ref() == [0])
 }
 
 /// Normalizes per-task replica sets against the platform (sorted, deduped,
@@ -160,49 +159,11 @@ fn normalized_sets(platform: &HeteroPlatform, sets: &[Vec<usize>]) -> Vec<Vec<us
         .collect()
 }
 
-/// The canonical prefix table `[0, 1, …, P−1]`; a degree-`r` replica set
-/// is `&prefix[..r]`.
-fn prefix_table(platform: &HeteroPlatform) -> Vec<usize> {
-    (0..platform.n_procs()).collect()
-}
-
-/// Simulates `schedule` once on `platform` with per-task replication
-/// `degrees` (indexed by task id) and synchronous checkpoint writes.
-/// `injectors[rank]` is processor rank `rank`'s fault source; at least
-/// `max(degrees)` injectors are required.
-pub fn simulate_replicated<I: FaultInjector>(
-    wf: &Workflow,
-    schedule: &Schedule,
-    platform: &HeteroPlatform,
-    degrees: &[usize],
-    injectors: &mut [I],
-) -> SimResult {
-    let n = wf.n_tasks();
-    assert_eq!(degrees.len(), n, "one replication degree per task");
-    if delegates(platform, degrees) {
-        return simulate(
-            wf,
-            schedule,
-            &mut injectors[0],
-            SimConfig {
-                downtime: platform.downtime(),
-                record_trace: false,
-            },
-        );
-    }
-    let prefix = prefix_table(platform);
-    let sets: Vec<&[usize]> = degrees
-        .iter()
-        .map(|&d| &prefix[..d.clamp(1, prefix.len())])
-        .collect();
-    simulate_replicated_on(wf, schedule, platform, &sets, injectors)
-}
-
-/// [`simulate_replicated`] over explicit per-task replica **sets**
-/// (processor indices into `platform.procs()`; `injectors` is indexed by
-/// processor, so it must cover the largest index any set uses). Sets are
-/// normalized like the analytic evaluator's. A prefix assignment
-/// reproduces the degree API draw for draw.
+/// Simulates `schedule` once on `platform` with per-task replica **sets**
+/// (processor indices into `platform.procs()`, indexed by task id) and
+/// synchronous checkpoint writes. `injectors[rank]` is processor rank
+/// `rank`'s fault source, so it must cover the largest index any set
+/// uses. Sets are normalized like the analytic evaluator's.
 pub fn simulate_replicated_sets<I: FaultInjector>(
     wf: &Workflow,
     schedule: &Schedule,
@@ -212,7 +173,7 @@ pub fn simulate_replicated_sets<I: FaultInjector>(
 ) -> SimResult {
     assert_eq!(sets.len(), wf.n_tasks(), "one replica set per task");
     let sets = normalized_sets(platform, sets);
-    if delegates_sets(platform, &sets) {
+    if delegates(platform, &sets) {
         return simulate(
             wf,
             schedule,
@@ -223,31 +184,18 @@ pub fn simulate_replicated_sets<I: FaultInjector>(
             },
         );
     }
-    let refs: Vec<&[usize]> = sets.iter().map(|s| s.as_slice()).collect();
-    simulate_replicated_on(wf, schedule, platform, &refs, injectors)
-}
-
-/// Shared blocking group engine over per-task replica sets.
-fn simulate_replicated_on<I: FaultInjector>(
-    wf: &Workflow,
-    schedule: &Schedule,
-    platform: &HeteroPlatform,
-    sets: &[&[usize]],
-    injectors: &mut [I],
-) -> SimResult {
-    let n = wf.n_tasks();
     assert!(
-        injectors.len() >= dagchkpt_core::replica_rank_count(sets),
+        injectors.len() >= dagchkpt_core::replica_rank_count(&sets),
         "need one injector per replica rank"
     );
     let procs = platform.procs();
     let downtime = platform.downtime();
     let mut t = 0.0f64;
-    let mut memory = MemoryState::new(n);
+    let mut memory = MemoryState::new(wf.n_tasks());
     let mut res = empty_result();
 
     for &task in schedule.order() {
-        let set = sets[task.index()];
+        let set = &sets[task.index()];
         let w = wf.work(task);
         let c = if schedule.is_checkpointed(task) {
             wf.checkpoint_cost(task)
@@ -357,45 +305,10 @@ pub fn simulate_replicated_planned<I: FaultInjector>(
     res
 }
 
-/// Simulates `schedule` once on `platform` with replication and
-/// **non-blocking** checkpoint writes overlapping subsequent computation at
-/// `compute_rate` (see the module docs for the exact semantics).
-pub fn simulate_replicated_nonblocking<I: FaultInjector>(
-    wf: &Workflow,
-    schedule: &Schedule,
-    platform: &HeteroPlatform,
-    degrees: &[usize],
-    injectors: &mut [I],
-    compute_rate: f64,
-) -> SimResult {
-    assert!(
-        compute_rate > 0.0 && compute_rate <= 1.0,
-        "compute_rate must be in (0, 1]"
-    );
-    let n = wf.n_tasks();
-    assert_eq!(degrees.len(), n, "one replication degree per task");
-    if delegates(platform, degrees) {
-        return simulate_nonblocking(
-            wf,
-            schedule,
-            &mut injectors[0],
-            NonBlockingConfig {
-                downtime: platform.downtime(),
-                compute_rate,
-                record_trace: false,
-            },
-        );
-    }
-    let prefix = prefix_table(platform);
-    let sets: Vec<&[usize]> = degrees
-        .iter()
-        .map(|&d| &prefix[..d.clamp(1, prefix.len())])
-        .collect();
-    simulate_replicated_nonblocking_on(wf, schedule, platform, &sets, injectors, compute_rate)
-}
-
-/// [`simulate_replicated_nonblocking`] over explicit per-task replica
-/// sets (see [`simulate_replicated_sets`] for the indexing convention).
+/// Simulates `schedule` once on `platform` with per-task replica sets
+/// (see [`simulate_replicated_sets`] for the indexing convention) and
+/// **non-blocking** checkpoint writes overlapping subsequent computation
+/// at `compute_rate` (see the module docs for the exact semantics).
 pub fn simulate_replicated_nonblocking_sets<I: FaultInjector>(
     wf: &Workflow,
     schedule: &Schedule,
@@ -410,7 +323,22 @@ pub fn simulate_replicated_nonblocking_sets<I: FaultInjector>(
     );
     assert_eq!(sets.len(), wf.n_tasks(), "one replica set per task");
     let sets = normalized_sets(platform, sets);
-    if delegates_sets(platform, &sets) {
+    let refs: Vec<&[usize]> = sets.iter().map(|s| s.as_slice()).collect();
+    simulate_replicated_nonblocking_on(wf, schedule, platform, &refs, injectors, compute_rate)
+}
+
+/// Shared non-blocking group engine over normalized per-task replica
+/// sets; a degenerate assignment delegates to the homogeneous
+/// non-blocking engine.
+fn simulate_replicated_nonblocking_on<I: FaultInjector>(
+    wf: &Workflow,
+    schedule: &Schedule,
+    platform: &HeteroPlatform,
+    sets: &[&[usize]],
+    injectors: &mut [I],
+    compute_rate: f64,
+) -> SimResult {
+    if delegates(platform, sets) {
         return simulate_nonblocking(
             wf,
             schedule,
@@ -422,19 +350,6 @@ pub fn simulate_replicated_nonblocking_sets<I: FaultInjector>(
             },
         );
     }
-    let refs: Vec<&[usize]> = sets.iter().map(|s| s.as_slice()).collect();
-    simulate_replicated_nonblocking_on(wf, schedule, platform, &refs, injectors, compute_rate)
-}
-
-/// Shared non-blocking group engine over per-task replica sets.
-fn simulate_replicated_nonblocking_on<I: FaultInjector>(
-    wf: &Workflow,
-    schedule: &Schedule,
-    platform: &HeteroPlatform,
-    sets: &[&[usize]],
-    injectors: &mut [I],
-    compute_rate: f64,
-) -> SimResult {
     let n = wf.n_tasks();
     assert!(
         injectors.len() >= dagchkpt_core::replica_rank_count(sets),
@@ -532,12 +447,8 @@ fn simulate_replicated_nonblocking_on<I: FaultInjector>(
     res
 }
 
-/// Replicated Monte-Carlo trial runner: `make_injector(rank, seed)` builds
-/// processor rank `rank`'s fault source for one trial, seeded by
-/// [`TrialSpec::proc_seed`]. Statistics aggregate through the same chunked
-/// accumulators as [`crate::run_trials_with`] — bit-identical for any
-/// thread count, all-NaN for zero trials — and the degenerate platform
-/// delegates to the homogeneous runner bit for bit.
+/// [`run_replicated_sets_trials_with`] over the
+/// `dagchkpt_core::prefix_sets` of per-task replication `degrees`.
 pub fn run_replicated_trials_with<I, F>(
     wf: &Workflow,
     schedule: &Schedule,
@@ -550,60 +461,25 @@ where
     I: FaultInjector + Send,
     F: Fn(usize, u64) -> I + Sync,
 {
-    if delegates(platform, degrees) {
-        return crate::montecarlo::run_trials_with(
-            wf,
-            schedule,
-            platform.downtime(),
-            spec,
-            |seed| make_injector(0, seed),
-        );
-    }
-    let ranks = max_degree(platform, degrees);
-    let prefix = prefix_table(platform);
-    let sets: Vec<&[usize]> = degrees
-        .iter()
-        .map(|&d| &prefix[..d.clamp(1, prefix.len())])
-        .collect();
-    run_planned_replicated(wf, schedule, platform, &sets, ranks, spec, make_injector)
+    let sets = dagchkpt_core::prefix_sets(degrees, platform.n_procs());
+    run_replicated_sets_trials_with(wf, schedule, platform, &sets, spec, make_injector)
 }
 
-/// Shared fast-path spine of both replicated runners: one compiled
-/// [`TrialPlan`] for all threads, and per fold chunk one scratch holding
-/// both the trial buffers and the reusable per-rank injector vector
-/// (`clear` + `extend` per trial — no per-trial allocation).
-fn run_planned_replicated<I, F>(
-    wf: &Workflow,
-    schedule: &Schedule,
-    platform: &HeteroPlatform,
-    sets: &[&[usize]],
-    ranks: usize,
-    spec: TrialSpec,
-    make_injector: F,
-) -> TrialStats
-where
-    I: FaultInjector + Send,
-    F: Fn(usize, u64) -> I + Sync,
-{
-    let plan = TrialPlan::compile(wf, schedule);
-    planned_result_stats(
-        spec,
-        || (TrialScratch::new(plan.n_tasks()), Vec::with_capacity(ranks)),
-        |(scratch, injectors): &mut (TrialScratch, Vec<I>), i| {
-            injectors.clear();
-            injectors.extend((0..ranks).map(|rank| make_injector(rank, spec.proc_seed(i, rank))));
-            simulate_replicated_planned(&plan, scratch, platform, sets, injectors)
-        },
-    )
-}
-
-/// [`run_replicated_trials_with`] over explicit per-task replica sets —
-/// the Monte-Carlo twin of `dagchkpt_core::evaluate_replicated_sets`, and
-/// the engine that cross-validates the joint optimizer's winning
-/// (schedule, assignment) pairs. Injectors are created for every processor
-/// rank up to the largest index any set uses, seeded by
-/// [`TrialSpec::proc_seed`]; a prefix assignment reproduces
-/// [`run_replicated_trials_with`] bit for bit.
+/// Replicated blocking Monte-Carlo trial runner over per-task replica
+/// sets — the Monte-Carlo twin of `dagchkpt_core::evaluate_replicated_sets`,
+/// and the engine that cross-validates the joint optimizer's winning
+/// (schedule, assignment) pairs. `make_injector(rank, seed)` builds
+/// processor rank `rank`'s fault source for one trial, for every rank up
+/// to the largest index any set uses, seeded by [`TrialSpec::proc_seed`].
+/// Statistics aggregate through the same chunked accumulators as
+/// [`crate::run_trials_with`] — bit-identical for any thread count,
+/// all-NaN for zero trials — and the degenerate platform delegates to the
+/// homogeneous runner bit for bit.
+///
+/// The fast path compiles one [`TrialPlan`] for all threads and keeps per
+/// fold chunk one scratch holding both the trial buffers and the reusable
+/// per-rank injector vector (`clear` + `extend` per trial — no per-trial
+/// allocation).
 pub fn run_replicated_sets_trials_with<I, F>(
     wf: &Workflow,
     schedule: &Schedule,
@@ -618,7 +494,7 @@ where
 {
     assert_eq!(sets.len(), wf.n_tasks(), "one replica set per task");
     let sets = normalized_sets(platform, sets);
-    if delegates_sets(platform, &sets) {
+    if delegates(platform, &sets) {
         return crate::montecarlo::run_trials_with(
             wf,
             schedule,
@@ -629,16 +505,69 @@ where
     }
     let ranks = dagchkpt_core::replica_rank_count(&sets);
     let refs: Vec<&[usize]> = sets.iter().map(|s| s.as_slice()).collect();
-    run_planned_replicated(wf, schedule, platform, &refs, ranks, spec, make_injector)
+    let plan = TrialPlan::compile(wf, schedule);
+    planned_result_stats(
+        spec,
+        || (TrialScratch::new(plan.n_tasks()), Vec::with_capacity(ranks)),
+        |(scratch, injectors): &mut (TrialScratch, Vec<I>), i| {
+            injectors.clear();
+            injectors.extend((0..ranks).map(|rank| make_injector(rank, spec.proc_seed(i, rank))));
+            simulate_replicated_planned(&plan, scratch, platform, &refs, injectors)
+        },
+    )
+}
+
+/// Replicated **non-blocking** Monte-Carlo trial runner over per-task
+/// replica sets: the makespan statistics and tail sketch of
+/// [`simulate_replicated_nonblocking_sets`] trials at `compute_rate`,
+/// folded by [`trial_metric_tail_stats`] — bit-identical for any thread
+/// count. Sets are normalized once per call; each trial builds one
+/// injector per processor rank up to the largest index any set uses,
+/// seeded by [`TrialSpec::proc_seed`] (`make_injector(rank, seed)`).
+pub fn run_replicated_nonblocking_trials_with<I, F>(
+    wf: &Workflow,
+    schedule: &Schedule,
+    platform: &HeteroPlatform,
+    sets: &[Vec<usize>],
+    compute_rate: f64,
+    spec: TrialSpec,
+    make_injector: F,
+) -> (Stats, QuantileSketch)
+where
+    I: FaultInjector,
+    F: Fn(usize, u64) -> I + Sync,
+{
+    assert!(
+        compute_rate > 0.0 && compute_rate <= 1.0,
+        "compute_rate must be in (0, 1]"
+    );
+    assert_eq!(sets.len(), wf.n_tasks(), "one replica set per task");
+    let sets = normalized_sets(platform, sets);
+    let ranks = dagchkpt_core::replica_rank_count(&sets);
+    let refs: Vec<&[usize]> = sets.iter().map(|s| s.as_slice()).collect();
+    trial_metric_tail_stats(spec, |i| {
+        let mut injectors: Vec<I> = (0..ranks)
+            .map(|rank| make_injector(rank, spec.proc_seed(i, rank)))
+            .collect();
+        simulate_replicated_nonblocking_on(
+            wf,
+            schedule,
+            platform,
+            &refs,
+            &mut injectors,
+            compute_rate,
+        )
+        .makespan
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::montecarlo::run_trials_with;
-    use dagchkpt_core::evaluator::replicated::evaluate_replicated;
     use dagchkpt_core::{
-        storage_scales, CostRule, ReplicatedEvaluator, ReplicationStrategy, TaskCosts,
+        evaluate_replicated_sets, prefix_sets, storage_scales, CostRule, ReplicatedEvaluator,
+        ReplicationStrategy, TaskCosts,
     };
     use dagchkpt_dag::{generators, topo};
     use dagchkpt_failure::{ExponentialInjector, StorageHierarchy, StorageTier};
@@ -699,7 +628,13 @@ mod tests {
             SeqInjector::new(vec![3.0, 1.0, 100.0]),
             SeqInjector::new(vec![20.0, 2.0, 0.5]),
         ];
-        let r = simulate_replicated(&wf, &s, &platform, &[2, 2], &mut injectors);
+        let r = simulate_replicated_sets(
+            &wf,
+            &s,
+            &platform,
+            &[vec![0, 1], vec![0, 1]],
+            &mut injectors,
+        );
         assert!((r.makespan - 24.0).abs() < 1e-12, "makespan {}", r.makespan);
         assert_eq!(r.n_faults, 1);
         assert!((r.time_work - 15.0).abs() < 1e-12); // 10 (rank 1) + 5 (rank 0)
@@ -718,7 +653,7 @@ mod tests {
         let s = Schedule::always(&wf, topo::topological_order(wf.dag())).unwrap();
         let platform = HeteroPlatform::homogeneous(1, 3e-3, 1.0).unwrap();
         let spec = TrialSpec::new(2_000, 11);
-        let rep = run_replicated_trials_with(&wf, &s, &platform, &[1; 10], spec, |_, seed| {
+        let rep = run_replicated_trials_with(&wf, &s, &platform, &[1; 6], spec, |_, seed| {
             ExponentialInjector::new(3e-3, seed)
         });
         let hom = run_trials_with(&wf, &s, 1.0, spec, |seed| {
@@ -753,7 +688,7 @@ mod tests {
             }
             .degrees(&wf, 2),
         ] {
-            let report = evaluate_replicated(&wf, &platform, &s, &degrees);
+            let report = evaluate_replicated_sets(&wf, &platform, &s, &prefix_sets(&degrees, 2));
             let stats = run_replicated_trials_with(
                 &wf,
                 &s,
@@ -798,8 +733,9 @@ mod tests {
                     ExponentialInjector::new(platform.procs()[rank].lambda, spec.proc_seed(i, rank))
                 })
                 .collect();
-            let blocking = simulate_replicated(&wf, &s, &platform, &[2; 5], &mut a);
-            let nb = simulate_replicated_nonblocking(&wf, &s, &platform, &[2; 5], &mut b, 0.6);
+            let sets = vec![vec![0, 1]; 5];
+            let blocking = simulate_replicated_sets(&wf, &s, &platform, &sets, &mut a);
+            let nb = simulate_replicated_nonblocking_sets(&wf, &s, &platform, &sets, &mut b, 0.6);
             assert_eq!(nb.makespan.to_bits(), blocking.makespan.to_bits());
             assert_eq!(nb.n_faults, blocking.n_faults);
         }
@@ -824,9 +760,10 @@ mod tests {
                     })
                     .collect()
             };
-            let blocking = simulate_replicated(&wf, &s, &platform, &[2; 4], &mut build());
+            let sets = vec![vec![0, 1]; 4];
+            let blocking = simulate_replicated_sets(&wf, &s, &platform, &sets, &mut build());
             let nb =
-                simulate_replicated_nonblocking(&wf, &s, &platform, &[2; 4], &mut build(), 0.5);
+                simulate_replicated_nonblocking_sets(&wf, &s, &platform, &sets, &mut build(), 0.5);
             assert_eq!(nb.makespan.to_bits(), blocking.makespan.to_bits());
             assert_eq!(nb.time_rework.to_bits(), blocking.time_rework.to_bits());
         }
@@ -840,9 +777,11 @@ mod tests {
         let s = Schedule::always(&wf, topo::topological_order(wf.dag())).unwrap();
         let platform = hetero2(0.0);
         let mut injectors = vec![SeqInjector::new(vec![]), SeqInjector::new(vec![])];
-        let nb = simulate_replicated_nonblocking(&wf, &s, &platform, &[2; 6], &mut injectors, 1.0);
+        let sets = vec![vec![0, 1]; 6];
+        let nb =
+            simulate_replicated_nonblocking_sets(&wf, &s, &platform, &sets, &mut injectors, 1.0);
         let mut injectors = vec![SeqInjector::new(vec![]), SeqInjector::new(vec![])];
-        let blocking = simulate_replicated(&wf, &s, &platform, &[2; 6], &mut injectors);
+        let blocking = simulate_replicated_sets(&wf, &s, &platform, &sets, &mut injectors);
         // Fault-free: rank 0 (speed 2) always wins; blocking pays 6 writes
         // of 5 s, non-blocking hides all but nothing of the compute.
         assert!((blocking.makespan - (60.0 + 30.0)).abs() < 1e-12);
@@ -867,10 +806,9 @@ mod tests {
         assert!(stats.mean_breakdown.iter().all(|v| v.is_nan()));
     }
 
-    /// Prefix replica sets reproduce the degree API **bit for bit** across
-    /// both engines and the trial runner — the sim-side anchor that lets
-    /// per-task replica selection generalize the engines without touching
-    /// any golden value.
+    /// Prefix replica sets reproduce the degree runner **bit for bit** —
+    /// the sim-side anchor that lets per-task replica selection generalize
+    /// the engines without touching any golden value.
     #[test]
     fn prefix_sets_are_bit_identical_to_degrees() {
         let wf = Workflow::uniform(generators::grid(3, 3), 8.0, 0.8);
@@ -878,37 +816,7 @@ mod tests {
         let platform = hetero2(1.0);
         let degrees = [2usize, 1, 2, 1, 2, 1, 2, 1, 2];
         let sets: Vec<Vec<usize>> = degrees.iter().map(|&d| (0..d).collect()).collect();
-        let build = |i: usize, spec: &TrialSpec| -> Vec<ExponentialInjector> {
-            (0..2)
-                .map(|rank| {
-                    ExponentialInjector::new(platform.procs()[rank].lambda, spec.proc_seed(i, rank))
-                })
-                .collect()
-        };
         let spec = TrialSpec::new(200, 17);
-        for i in 0..spec.trials {
-            let a = simulate_replicated(&wf, &s, &platform, &degrees, &mut build(i, &spec));
-            let b = simulate_replicated_sets(&wf, &s, &platform, &sets, &mut build(i, &spec));
-            assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
-            assert_eq!(a.n_faults, b.n_faults);
-            let a = simulate_replicated_nonblocking(
-                &wf,
-                &s,
-                &platform,
-                &degrees,
-                &mut build(i, &spec),
-                0.7,
-            );
-            let b = simulate_replicated_nonblocking_sets(
-                &wf,
-                &s,
-                &platform,
-                &sets,
-                &mut build(i, &spec),
-                0.7,
-            );
-            assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
-        }
         let by_deg =
             run_replicated_trials_with(&wf, &s, &platform, &degrees, spec, |rank, seed| {
                 ExponentialInjector::new(platform.procs()[rank].lambda, seed)
@@ -983,18 +891,19 @@ mod tests {
                 })
                 .collect()
         };
+        let sets = vec![vec![0, 1]; 9];
         for i in 0..spec.trials {
-            let a = simulate_replicated(&wf, &s, &platform, &[2; 9], &mut build(i));
-            let b = simulate_replicated(&scaled, &s, &platform, &[2; 9], &mut build(i));
+            let a = simulate_replicated_sets(&wf, &s, &platform, &sets, &mut build(i));
+            let b = simulate_replicated_sets(&scaled, &s, &platform, &sets, &mut build(i));
             assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
             assert_eq!(a.n_faults, b.n_faults);
             let a =
-                simulate_replicated_nonblocking(&wf, &s, &platform, &[2; 9], &mut build(i), 0.7);
-            let b = simulate_replicated_nonblocking(
+                simulate_replicated_nonblocking_sets(&wf, &s, &platform, &sets, &mut build(i), 0.7);
+            let b = simulate_replicated_nonblocking_sets(
                 &scaled,
                 &s,
                 &platform,
-                &[2; 9],
+                &sets,
                 &mut build(i),
                 0.7,
             );
@@ -1082,7 +991,8 @@ mod tests {
             let (cs, rs) = storage_scales(&h, tiers, &[2; 2]);
             let scaled = wf.with_scaled_costs(&cs, &rs);
             let mut inj = vec![SeqInjector::new(vec![]), SeqInjector::new(vec![])];
-            simulate_replicated_nonblocking(&scaled, &s, &platform, &[2; 2], &mut inj, 0.5)
+            let sets = vec![vec![0, 1]; 2];
+            simulate_replicated_nonblocking_sets(&scaled, &s, &platform, &sets, &mut inj, 0.5)
         };
         // Rank 0 (speed 2) wins every attempt. Unit tier: T0 at 5,
         // enqueue a 5 s write; T1 content 5 > 5·0.5 → 5 + (5 − 2.5) = 7.5.
@@ -1113,8 +1023,8 @@ mod tests {
         let s = Schedule::new(&wf, order, ckpt).unwrap();
         let platform = hetero2(1.0);
         let degrees = [2usize, 1, 2, 1, 2, 1, 2, 1, 2];
-        let prefix: Vec<usize> = (0..2).collect();
-        let sets: Vec<&[usize]> = degrees.iter().map(|&d| &prefix[..d]).collect();
+        let owned = prefix_sets(&degrees, 2);
+        let sets: Vec<&[usize]> = owned.iter().map(Vec::as_slice).collect();
         let plan = TrialPlan::compile(&wf, &s);
         let mut scratch = TrialScratch::new(plan.n_tasks());
         let spec = TrialSpec::new(200, 41);
@@ -1126,7 +1036,7 @@ mod tests {
                 .collect()
         };
         for i in 0..spec.trials {
-            let reference = simulate_replicated(&wf, &s, &platform, &degrees, &mut build(i));
+            let reference = simulate_replicated_sets(&wf, &s, &platform, &owned, &mut build(i));
             let fast =
                 simulate_replicated_planned(&plan, &mut scratch, &platform, &sets, &mut build(i));
             assert_eq!(reference.makespan.to_bits(), fast.makespan.to_bits());

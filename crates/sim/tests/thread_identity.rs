@@ -4,7 +4,8 @@
 //! `RAYON_NUM_THREADS` — predates the compiled-plan engines; this suite
 //! re-pins it on the new path for all four of them (blocking Monte-Carlo,
 //! non-blocking, replicated by degree and by set, tenant), for the per-item
-//! metric fold `trial_metric_tail_stats`, for ragged and zero trial counts,
+//! metric fold `trial_metric_tail_stats` (through the replicated
+//! non-blocking runner), for ragged and zero trial counts,
 //! and for the Theorem-3 cross-validation itself. The vendored executor reads the variable at
 //! every dispatch, so each run sees its own pool size; a mutex serializes
 //! the env mutation.
@@ -14,14 +15,12 @@ use dagchkpt_core::{
 };
 use dagchkpt_dag::{generators, topo, FixedBitSet};
 use dagchkpt_failure::{ExponentialInjector, FaultModel, HeteroPlatform, Processor};
-use dagchkpt_sim::montecarlo::{
-    run_trials, run_trials_with, trial_metric_tail_stats, TrialSpec, TrialStats,
-};
+use dagchkpt_sim::montecarlo::{run_trials, run_trials_with, TrialSpec, TrialStats};
 use dagchkpt_sim::nonblocking::{run_nonblocking_trials_with, NonBlockingConfig};
 use dagchkpt_sim::quantile::QuantileSketch;
 use dagchkpt_sim::replicated::{
-    run_replicated_sets_trials_with, run_replicated_trials_with,
-    simulate_replicated_nonblocking_sets,
+    run_replicated_nonblocking_trials_with, run_replicated_sets_trials_with,
+    run_replicated_trials_with,
 };
 use dagchkpt_sim::stats::Stats;
 use dagchkpt_sim::tenant::{run_tenant_trials_with, TenantConfig, TenantJob, TenantPolicy};
@@ -107,8 +106,9 @@ fn blocking_fast_path_is_bit_identical_across_thread_counts() {
 }
 
 /// The per-item metric fold behind replicated non-blocking Monte-Carlo
-/// cells, driven the way the cell executor drives it: its chunk grouping
-/// must not depend on the pool size either.
+/// cells (`trial_metric_tail_stats` under the replicated non-blocking
+/// runner the cell executor calls): its chunk grouping must not depend on
+/// the pool size either.
 #[test]
 fn metric_tail_fold_is_bit_identical_across_thread_counts() {
     let (wf, s) = fixture();
@@ -118,15 +118,15 @@ fn metric_tail_fold_is_bit_identical_across_thread_counts() {
         .collect();
     let spec = TrialSpec::new(1_024, 43);
     let [one, four] = under_thread_counts(|| {
-        trial_metric_tail_stats(spec, |i| {
-            let mut injectors: Vec<ExponentialInjector> = (0..2)
-                .map(|rank| {
-                    ExponentialInjector::new(platform.procs()[rank].lambda, spec.proc_seed(i, rank))
-                })
-                .collect();
-            simulate_replicated_nonblocking_sets(&wf, &s, &platform, &sets, &mut injectors, 0.7)
-                .makespan
-        })
+        run_replicated_nonblocking_trials_with(
+            &wf,
+            &s,
+            &platform,
+            &sets,
+            0.7,
+            spec,
+            |rank, seed| ExponentialInjector::new(platform.procs()[rank].lambda, seed),
+        )
     });
     assert_metric_tail_identical(&one, &four);
 }
@@ -207,8 +207,8 @@ fn tenant_fast_path_is_bit_identical_across_thread_counts() {
     }
 }
 
-/// Non-prefix replica sets (the joint optimizer's validation engine) take
-/// the planned path without delegating to the degree API.
+/// Non-prefix replica sets (the joint optimizer's validation engine) on
+/// the planned path.
 #[test]
 fn replicated_sets_fast_path_is_bit_identical_across_thread_counts() {
     let (wf, s) = fixture();

@@ -5,8 +5,8 @@
 //! full-recompute sweep.
 
 use dagchkpt::core::{
-    evaluate_replicated, optimize_joint, paper_heuristics, run_heuristic, run_heuristic_with,
-    ReplicatedEvaluator, ReplicationStrategy, SweepPolicy,
+    expected_makespan_replicated, optimize_joint, paper_heuristics, run_heuristic,
+    run_heuristic_with, ReplicatedEvaluator, ReplicationStrategy, SweepPolicy,
 };
 use dagchkpt::dag::generators;
 use dagchkpt::prelude::*;
@@ -41,8 +41,8 @@ proptest! {
 
     /// For every one of the 14 paper heuristics on a seeded heterogeneous
     /// platform: sweeping the checkpoint budget directly against
-    /// `evaluate_replicated` (the replication-aware sweep) is never worse
-    /// — under `evaluate_replicated` — than sweeping under the
+    /// the replicated evaluator (the replication-aware sweep) is never
+    /// worse — under that evaluator — than sweeping under the
     /// single-machine proxy and re-scoring, because both enumerate the
     /// same candidate family and the aware sweep picks its argmin.
     #[test]
@@ -60,7 +60,7 @@ proptest! {
         for h in paper_heuristics(seed) {
             let proxy = run_heuristic(&wf, model, h, SweepPolicy::Exhaustive);
             let proxy_rescored =
-                evaluate_replicated(&wf, &platform, &proxy.schedule, &degrees).expected_makespan;
+                expected_makespan_replicated(&wf, &platform, &proxy.schedule, &degrees);
             let obj = ReplicatedEvaluator::from_degrees(&wf, &platform, &degrees);
             let aware = run_heuristic_with(&wf, &obj, h, SweepPolicy::Exhaustive);
             prop_assert!(
@@ -120,8 +120,9 @@ proptest! {
     }
 
     /// Memoized and naive sweeps produce bit-identical winners (budget,
-    /// value, checkpoint set) — the correctness contract of the
-    /// `optimizer/sweep_memoized` hot path.
+    /// value, checkpoint set) — the correctness contract of the memoized
+    /// hot path the perfbench `replicated.sweep_ms.n200` and
+    /// `replicated.memo_entries` rows measure.
     #[test]
     fn memoized_sweep_is_bit_identical_to_naive(seed in 0u64..100) {
         let mut rng = SmallRng::seed_from_u64(seed.wrapping_add(0xC0FFEE));
