@@ -4,11 +4,11 @@
 //! make it `O(n³)` per pass (`O(n⁴)` overall).
 //!
 //! It exists to cross-validate the optimized implementation in
-//! [`super::recovery`] (the property tests below require bit-identical `W`/`R`
-//! aggregates up to floating-point summation order) and to power the
-//! complexity-ablation benchmark.
+//! [`super::recovery`]: the property tests below require equal `W`/`R`
+//! aggregates up to floating-point summation order, and the stateful
+//! evaluator's tests compare whole evaluations against it.
 
-use super::recovery::RecoveryMatrices;
+use super::SweepEvaluator;
 use crate::model::Workflow;
 use crate::schedule::Schedule;
 use dagchkpt_failure::FaultModel;
@@ -123,18 +123,19 @@ impl LiteralMatrices {
     }
 }
 
-/// Expected makespan computed through the literal Algorithm 1 (same
-/// probability assembly as the optimized path).
+/// Expected makespan computed through the literal Algorithm 1, assembled by
+/// the same [`SweepEvaluator`] as [`super::evaluate`].
 pub fn expected_makespan_literal(wf: &Workflow, model: FaultModel, schedule: &Schedule) -> f64 {
     let lit = recovery_matrices_literal(wf, schedule);
-    // Re-package into the optimized container so the assembly is shared.
-    let matrices = RecoveryMatrices::from_raw(lit.n, lit.w, lit.r);
-    super::assemble(wf, model, schedule, &matrices).expected_makespan
+    SweepEvaluator::new(wf, model, schedule.order())
+        .evaluate_with_lost(schedule.checkpoints(), &|i, k| lit.get(i, k))
+        .expected_makespan
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evaluator::recovery::RecoveryMatrices;
     use crate::model::{CostRule, Workflow};
     use crate::schedule::Schedule;
     use dagchkpt_dag::{generators, topo, FixedBitSet, NodeId};

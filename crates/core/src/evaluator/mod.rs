@@ -32,18 +32,29 @@
 //! (`O(n³)` per pass, `O(n⁴)` total). [`recovery`] keeps the identical
 //! semantics with a per-`k` mark array — each task is *studied* at most once
 //! per pass — so one pass costs `O(n + |E|)` and a full evaluation is
-//! **`O(n(n + |E|))`** time, `O(n²)` space (the `W`/`R` matrices).
-//! [`literal`] is a faithful transcription of the paper's pseudo-code, kept
-//! for cross-validation and for the complexity ablation benchmark.
+//! **`O(n(n + |E|))`** time, `O(n²)` space. The assembly evaluates three
+//! transcendentals per `(i, k)` entry: the property-A decay and the two
+//! factors that property C's expectation and the fault count share.
+//!
+//! A budget sweep evaluates nested or otherwise nearby checkpoint sets on
+//! one linearization. [`SweepEvaluator`] keeps the whole evaluation as
+//! state: when the first changed position is `p`, it reruns only the
+//! `n − p` passes `k > p`, recomputes only the transcendentals whose inputs
+//! changed bits, and resumes the assembly at row `p`. A one-shot
+//! [`evaluate`] is its first call, so every path shares one assembly loop.
+//! [`literal`] is a faithful transcription of the paper's pseudo-code,
+//! kept as the cross-validation oracle for [`recovery`]; it feeds the same
+//! assembly.
 
 pub mod literal;
 pub mod recovery;
 pub mod replicated;
+pub mod sweep;
 
 use crate::model::Workflow;
 use crate::schedule::Schedule;
 use dagchkpt_failure::FaultModel;
-use recovery::RecoveryMatrices;
+pub use sweep::SweepEvaluator;
 
 /// Per-schedule evaluation report.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,112 +78,10 @@ pub fn expected_makespan(wf: &Workflow, model: FaultModel, schedule: &Schedule) 
     evaluate(wf, model, schedule).expected_makespan
 }
 
-/// Full evaluation of `schedule`, including the per-position breakdown.
+/// Full evaluation of `schedule`, including the per-position breakdown: the
+/// first call of a fresh [`SweepEvaluator`].
 pub fn evaluate(wf: &Workflow, model: FaultModel, schedule: &Schedule) -> EvalReport {
-    let matrices = RecoveryMatrices::compute(wf, schedule);
-    assemble(wf, model, schedule, &matrices)
-}
-
-/// Shared probability/expectation assembly (properties A–C), used by both
-/// the optimized and the paper-literal recovery-set computations.
-pub(crate) fn assemble(
-    wf: &Workflow,
-    model: FaultModel,
-    schedule: &Schedule,
-    m: &RecoveryMatrices,
-) -> EvalReport {
-    let n = wf.n_tasks();
-    let order = schedule.order();
-    if n == 0 {
-        return EvalReport {
-            expected_makespan: 0.0,
-            per_position: Vec::new(),
-            expected_faults: 0.0,
-        };
-    }
-
-    // Per-position cost views (1-based positions, index 0 unused).
-    let mut w = vec![0.0f64; n + 1];
-    let mut c = vec![0.0f64; n + 1];
-    let mut ckpt = vec![false; n + 1];
-    for (idx, &t) in order.iter().enumerate() {
-        let i = idx + 1;
-        w[i] = wf.work(t);
-        c[i] = wf.checkpoint_cost(t);
-        ckpt[i] = schedule.is_checkpointed(t);
-    }
-
-    let lambda = model.lambda();
-    if lambda == 0.0 {
-        // Fault-free limit: every task runs once; checkpointed tasks pay c_i.
-        let per: Vec<f64> = (1..=n)
-            .map(|i| w[i] + if ckpt[i] { c[i] } else { 0.0 })
-            .collect();
-        return EvalReport {
-            expected_makespan: per.iter().sum(),
-            per_position: per,
-            expected_faults: 0.0,
-        };
-    }
-
-    // `S(j, k)` = work performed during X_j given the last fault was during
-    // X_k (property A's exponent term).
-    let s = |j: usize, k: usize| -> f64 {
-        let (wjk, rjk) = if k == 0 { (0.0, 0.0) } else { m.get(j, k) };
-        wjk + rjk + w[j] + if ckpt[j] { c[j] } else { 0.0 }
-    };
-
-    // Rolling row of P(Z^i_k), updated in place as i advances.
-    let mut pz = vec![0.0f64; n + 1];
-    let mut per_position = Vec::with_capacity(n);
-    let mut total = 0.0f64;
-    let mut faults = 0.0f64;
-
-    for i in 1..=n {
-        if i == 1 {
-            pz[0] = 1.0;
-        } else {
-            // Property A (incremental): P(Z^i_k) = P(Z^{i−1}_k)·e^{−λ S(i−1,k)}
-            let mut sum = 0.0f64;
-            for (k, p) in pz.iter_mut().enumerate().take(i - 1) {
-                *p *= (-lambda * s(i - 1, k)).exp();
-                sum += *p;
-            }
-            // Property B; clamp against floating-point drift.
-            pz[i - 1] = (1.0 - sum).clamp(0.0, 1.0);
-        }
-
-        // Property C. `b` is the full-closure recovery for T_i.
-        let (wii, rii) = m.get(i, i);
-        let b = wii + rii;
-        let ci = if ckpt[i] { c[i] } else { 0.0 };
-        let mut exi = 0.0f64;
-        for (k, &p) in pz.iter().enumerate().take(i) {
-            if p == 0.0 {
-                continue;
-            }
-            let a = if k == 0 {
-                0.0
-            } else {
-                let (wik, rik) = m.get(i, k);
-                wik + rik
-            };
-            // `a ≤ b` holds mathematically (T↓k_i ⊆ T↓i_i); clamp the
-            // difference against accumulation-order noise.
-            let rec = (b - a).max(0.0);
-            exi += p * model.expected_exec_time(a + w[i], ci, rec);
-            // Geometric retry count of the block.
-            faults += p * (lambda * rec).exp() * (lambda * (a + w[i] + ci)).exp_m1();
-        }
-        per_position.push(exi);
-        total += exi;
-    }
-
-    EvalReport {
-        expected_makespan: total,
-        per_position,
-        expected_faults: faults,
-    }
+    SweepEvaluator::new(wf, model, schedule.order()).evaluate(schedule.checkpoints())
 }
 
 #[cfg(test)]
@@ -478,6 +387,22 @@ mod tests {
         // Fault-free platform: none.
         let rep = evaluate(&wf, FaultModel::fault_free(), &s);
         assert_eq!(rep.expected_faults, 0.0);
+    }
+
+    #[test]
+    fn zero_length_block_after_an_overflowing_one_is_exactly_zero() {
+        // λ·w₁ = 800: T₂'s recovery factor e^{λ·10000} overflows, but T₂'s
+        // block has length 0, so it costs exactly 0 instead of ∞·0 = NaN.
+        let costs = vec![
+            TaskCosts::new(10_000.0, 0.0, 0.0),
+            TaskCosts::new(0.0, 0.0, 0.0),
+        ];
+        let wf = Workflow::new(generators::chain(2), costs);
+        let s = Schedule::never(&wf, topo::topological_order(wf.dag())).unwrap();
+        let rep = evaluate(&wf, model(0.08, 0.0), &s);
+        assert_eq!(rep.expected_makespan, f64::INFINITY);
+        assert_eq!(rep.per_position, vec![f64::INFINITY, 0.0]);
+        assert!(!rep.expected_faults.is_nan());
     }
 
     #[test]

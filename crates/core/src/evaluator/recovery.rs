@@ -18,7 +18,7 @@
 
 use crate::model::Workflow;
 use crate::schedule::Schedule;
-use dagchkpt_dag::NodeId;
+use dagchkpt_dag::{FixedBitSet, NodeId};
 
 /// Dense `W^i_k` / `R^i_k` matrices for one schedule (1-based positions;
 /// entries defined for `1 ≤ k ≤ i ≤ n`).
@@ -51,69 +51,105 @@ impl RecoveryMatrices {
         self.n
     }
 
-    /// Wraps externally computed flat matrices (row-major,
-    /// `(n+1)×(n+1)`, entry `i·(n+1)+k`). Used by the paper-literal
-    /// implementation so both share the probability assembly.
-    pub(crate) fn from_raw(n: usize, w: Vec<f64>, r: Vec<f64>) -> Self {
-        assert_eq!(w.len(), (n + 1) * (n + 1));
-        assert_eq!(r.len(), (n + 1) * (n + 1));
-        RecoveryMatrices { n, w, r }
-    }
-
     /// Computes all matrices for `schedule` in `O(n(n + |E|))`.
     pub fn compute(wf: &Workflow, schedule: &Schedule) -> Self {
         let n = wf.n_tasks();
-        let order = schedule.order();
-        let dag = wf.dag();
-        // pos1[task] = 1-based schedule position.
+        let mut w = vec![0.0f64; (n + 1) * (n + 1)];
+        let mut r = vec![0.0f64; (n + 1) * (n + 1)];
+        let mut passes = RecoveryPasses::new(wf, schedule.order());
+        for k in 1..=n {
+            passes.run(
+                schedule.checkpoints(),
+                k,
+                |_| {},
+                |i, wi, ri| {
+                    let idx = i * (n + 1) + k;
+                    w[idx] = wi;
+                    r[idx] = ri;
+                },
+            );
+        }
+        RecoveryMatrices { n, w, r }
+    }
+}
+
+/// The per-`k` passes behind [`RecoveryMatrices::compute`], with their
+/// scratch (position map, mark array, DFS stack) allocated once per
+/// linearization. Pass `k` reads the checkpoint bit only of tasks at
+/// positions `< k`, so a caller that changes the checkpoint set from
+/// position `p` on needs to rerun only the passes `k > p`.
+pub(crate) struct RecoveryPasses<'a> {
+    wf: &'a Workflow,
+    order: &'a [NodeId],
+    /// `pos1[task]` = 1-based schedule position.
+    pos1: Vec<usize>,
+    /// `mark[task]` = position at which the task was studied in this pass.
+    mark: Vec<u32>,
+    stack: Vec<NodeId>,
+}
+
+impl<'a> RecoveryPasses<'a> {
+    pub(crate) fn new(wf: &'a Workflow, order: &'a [NodeId]) -> Self {
+        let n = wf.n_tasks();
         let mut pos1 = vec![0usize; n];
         for (idx, &t) in order.iter().enumerate() {
             pos1[t.index()] = idx + 1;
         }
-
-        let mut w = vec![0.0f64; (n + 1) * (n + 1)];
-        let mut r = vec![0.0f64; (n + 1) * (n + 1)];
-        // mark[task] = position at which the task was studied in this pass.
-        let mut mark = vec![0u32; n];
-        let mut stack: Vec<NodeId> = Vec::with_capacity(n);
-
-        for k in 1..=n {
-            mark.fill(0);
-            for i in k..=n {
-                let mut wi = 0.0f64;
-                let mut ri = 0.0f64;
-                // DFS from the task at position i through its lost inputs.
-                stack.push(order[i - 1]);
-                while let Some(t) = stack.pop() {
-                    for &p in dag.preds(t) {
-                        let j = p.index();
-                        if mark[j] != 0 {
-                            // In memory (studied at an earlier position) or
-                            // already counted for position i.
-                            continue;
-                        }
-                        mark[j] = i as u32;
-                        if pos1[j] < k {
-                            // Executed before the fault: output lost.
-                            if schedule.is_checkpointed(p) {
-                                ri += wf.recovery_cost(p);
-                            } else {
-                                wi += wf.work(p);
-                                // Re-executing p needs p's own inputs.
-                                stack.push(p);
-                            }
-                        }
-                        // pos1[j] ≥ k: executed at/after the fault, so the
-                        // output is in memory; the mark blocks revisits.
-                    }
-                }
-                let idx = i * (n + 1) + k;
-                w[idx] = wi;
-                r[idx] = ri;
-            }
+        RecoveryPasses {
+            wf,
+            order,
+            pos1,
+            mark: vec![0u32; n],
+            stack: Vec::with_capacity(n),
         }
+    }
 
-        RecoveryMatrices { n, w, r }
+    /// Pass `k` (the last fault hit position `k`) under the task-indexed
+    /// checkpoint set `ckpt`: calls `emit(i, W^i_k, R^i_k)` for
+    /// `i = k ..= n`, in that order, and `studied(q)` for every position
+    /// `q < k` whose checkpoint bit the pass reads. A pass that reads none
+    /// of the bits a new set changes would repeat itself exactly.
+    pub(crate) fn run(
+        &mut self,
+        ckpt: &FixedBitSet,
+        k: usize,
+        mut studied: impl FnMut(usize),
+        mut emit: impl FnMut(usize, f64, f64),
+    ) {
+        let (wf, dag, pos1) = (self.wf, self.wf.dag(), &self.pos1);
+        let (mark, stack) = (&mut self.mark, &mut self.stack);
+        mark.fill(0);
+        for i in k..=self.order.len() {
+            let mut wi = 0.0f64;
+            let mut ri = 0.0f64;
+            // DFS from the task at position i through its lost inputs.
+            stack.push(self.order[i - 1]);
+            while let Some(t) = stack.pop() {
+                for &p in dag.preds(t) {
+                    let j = p.index();
+                    if mark[j] != 0 {
+                        // In memory (studied at an earlier position) or
+                        // already counted for position i.
+                        continue;
+                    }
+                    mark[j] = i as u32;
+                    if pos1[j] < k {
+                        // Executed before the fault: output lost.
+                        studied(pos1[j]);
+                        if ckpt.contains(j) {
+                            ri += wf.recovery_cost(p);
+                        } else {
+                            wi += wf.work(p);
+                            // Re-executing p needs p's own inputs.
+                            stack.push(p);
+                        }
+                    }
+                    // pos1[j] ≥ k: executed at/after the fault, so the
+                    // output is in memory; the mark blocks revisits.
+                }
+            }
+            emit(i, wi, ri);
+        }
     }
 }
 

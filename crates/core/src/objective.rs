@@ -7,7 +7,8 @@
 //! machinery (`crate::strategies`) runs against:
 //!
 //! * [`ProxyObjective`] — the homogeneous analytic evaluator
-//!   ([`crate::evaluator::evaluate`]), the paper's single-machine view;
+//!   ([`crate::evaluator::evaluate`]), the paper's single-machine view,
+//!   which prices sweep runs incrementally ([`SweepEvaluator`]);
 //! * [`ReplicatedEvaluator`] — the exact replication-aware evaluator with
 //!   memoized per-attempt statistics
 //!   ([`crate::evaluator::replicated`]), for heterogeneous platforms;
@@ -21,8 +22,10 @@
 
 use crate::evaluator;
 use crate::evaluator::replicated::ReplicatedEvaluator;
+use crate::evaluator::SweepEvaluator;
 use crate::model::Workflow;
 use crate::schedule::Schedule;
+use dagchkpt_dag::FixedBitSet;
 use dagchkpt_failure::FaultModel;
 
 /// A distribution summary of a schedule's cost: what a backend knows about
@@ -99,6 +102,21 @@ pub trait Objective: Sync {
     fn cost_quantile(&self, schedule: &Schedule, _q: f64) -> f64 {
         self.cost(schedule)
     }
+
+    /// The costs of a run of checkpoint sets on `base`'s linearization
+    /// (`base`'s own set is ignored), in order: the hook through which the
+    /// budget sweeps and the local search price their candidates, one
+    /// contiguous run per worker. The default forwards every set to
+    /// [`cost`]. A backend with a stateful evaluator overrides it to reuse
+    /// work between neighbouring sets; the override must return exactly
+    /// the bits [`cost`] would.
+    ///
+    /// [`cost`]: Objective::cost
+    fn cost_run(&self, base: &Schedule, sets: &[FixedBitSet]) -> Vec<f64> {
+        sets.iter()
+            .map(|set| self.cost(&base.with_checkpoints(set.clone())))
+            .collect()
+    }
 }
 
 /// The paper's single-machine proxy: the homogeneous Theorem-3 evaluator
@@ -122,6 +140,12 @@ impl Objective for ProxyObjective<'_> {
 
     fn label(&self) -> &'static str {
         "proxy"
+    }
+
+    /// One [`SweepEvaluator`] for the whole run, freed on return.
+    fn cost_run(&self, base: &Schedule, sets: &[FixedBitSet]) -> Vec<f64> {
+        let mut ev = SweepEvaluator::new(self.wf, self.model, base.order());
+        sets.iter().map(|set| ev.expected_makespan(set)).collect()
     }
 }
 

@@ -278,8 +278,10 @@ pub fn ranking(wf: &Workflow, strategy: CheckpointStrategy) -> Result<Vec<NodeId
 /// exhausted. The linearization stays fixed; pass a [`ProxyObjective`]
 /// for the paper's single-machine model.
 ///
-/// Each round evaluates `n` candidate schedules in parallel; the result is
-/// never worse than the start point.
+/// Each round evaluates the `n` single-flip candidates in parallel, one
+/// contiguous run of schedule positions per worker priced through
+/// [`Objective::cost_run`] (neighbouring candidates differ in two bits);
+/// the result is never worse than the start point.
 pub fn local_search_with<O: Objective + ?Sized>(
     wf: &Workflow,
     obj: &O,
@@ -292,23 +294,24 @@ pub fn local_search_with<O: Objective + ?Sized>(
     let mut current = init;
     let mut best_e = obj.cost(&base.with_checkpoints(current.clone()));
     let mut evaluated = 1usize;
+    // Candidates are the flipped task ids, in schedule order.
+    let flips: Vec<usize> = order.iter().map(|v| v.index()).collect();
     for _ in 0..max_rounds {
-        // Chunk-folded argmin: candidate evaluations stream into O(chunks)
-        // running minima instead of an O(n) materialized vector.
-        let best = (0..n)
-            .into_par_iter()
-            .map(|i| {
-                let mut set = current.clone();
-                if !set.insert(i) {
-                    set.remove(i);
-                }
-                let s = base.with_checkpoints(set);
-                (i, obj.cost(&s), ())
-            })
-            .fold(|| None, |best, cand| better_candidate(best, Some(cand)))
-            .reduce(|| None, better_candidate);
+        let best = argmin_over_runs(&flips, |run| {
+            let sets: Vec<FixedBitSet> = run
+                .iter()
+                .map(|&i| {
+                    let mut set = current.clone();
+                    if !set.insert(i) {
+                        set.remove(i);
+                    }
+                    set
+                })
+                .collect();
+            obj.cost_run(&base, &sets)
+        });
         evaluated += n;
-        let Some((flip, e, ())) = best else {
+        let Some((flip, e)) = best else {
             break;
         };
         if e >= best_e - 1e-12 * best_e.max(1.0) {
@@ -328,24 +331,47 @@ pub fn local_search_with<O: Objective + ?Sized>(
     }
 }
 
-/// Argmin combiner shared by [`sweep_with_cost`] and [`local_search_with`]
-/// candidates `(index, expected makespan, payload)`: lower makespan wins, ties
-/// toward the smaller index (matching the pre-chunked `min_by`/sort
-/// behavior). Associative with a deterministic result for any grouping,
-/// so chunked fold/reduce chains are stable.
-#[allow(clippy::type_complexity)]
-fn better_candidate<T>(
-    a: Option<(usize, f64, T)>,
-    b: Option<(usize, f64, T)>,
-) -> Option<(usize, f64, T)> {
+/// Argmin over `candidates` keyed `(index, cost)`: the candidates are cut
+/// into one contiguous run per worker, `run_costs` prices a run in order,
+/// and the per-run winners are combined by [`better_candidate`]. That
+/// order is total, so the winner cannot depend on the split — the thread
+/// count only decides how many runs share one stateful evaluator.
+fn argmin_over_runs(
+    candidates: &[usize],
+    run_costs: impl Fn(&[usize]) -> Vec<f64> + Sync,
+) -> Option<(usize, f64)> {
+    let run_len = candidates
+        .len()
+        .div_ceil(rayon::current_num_threads())
+        .max(1);
+    let runs: Vec<&[usize]> = candidates.chunks(run_len).collect();
+    let winners: Vec<Option<(usize, f64)>> = runs
+        .into_par_iter()
+        .map(|run| {
+            run.iter()
+                .copied()
+                .zip(run_costs(run))
+                .fold(None, |best, cand| better_candidate(best, Some(cand)))
+        })
+        .collect();
+    winners.into_iter().fold(None, better_candidate)
+}
+
+/// Argmin combiner for candidates `(index, cost)`: a `NaN` cost ranks after
+/// every number, then lower cost wins, then the smaller index. A total
+/// order, so any grouping of a fold or reduce chain picks the same winner
+/// (a raw `<` would let a `NaN` accumulator hide every later candidate).
+fn better_candidate(a: Option<(usize, f64)>, b: Option<(usize, f64)>) -> Option<(usize, f64)> {
     match (a, b) {
         (None, x) | (x, None) => x,
         (Some(a), Some(b)) => {
-            if b.1 < a.1 || (b.1 == a.1 && b.0 < a.0) {
-                Some(b)
-            } else {
-                Some(a)
-            }
+            let b_first = match (a.1.is_nan(), b.1.is_nan()) {
+                (true, false) => true,
+                (false, true) => false,
+                (true, true) => b.0 < a.0,
+                (false, false) => b.1 < a.1 || (b.1 == a.1 && b.0 < a.0),
+            };
+            Some(if b_first { b } else { a })
         }
     }
 }
@@ -425,9 +451,10 @@ pub fn optimize_checkpoints(
 }
 
 /// [`optimize_checkpoints`] against an arbitrary [`Objective`] backend:
-/// the same candidate family and tie-breaks, evaluated by `obj` — pass a
-/// [`ReplicatedEvaluator`] to make the sweep replication-aware. With
-/// [`ProxyObjective`] this is bit-identical to the pre-generic sweep.
+/// the same candidate family and tie-breaks, priced by `obj` through
+/// [`Objective::cost_run`] — pass a [`ReplicatedEvaluator`] to make the
+/// sweep replication-aware. With [`ProxyObjective`] this is exactly
+/// [`optimize_checkpoints`].
 pub fn optimize_checkpoints_with<O: Objective + ?Sized>(
     wf: &Workflow,
     obj: &O,
@@ -435,17 +462,19 @@ pub fn optimize_checkpoints_with<O: Objective + ?Sized>(
     strategy: CheckpointStrategy,
     policy: SweepPolicy,
 ) -> OptimizedSchedule {
-    optimize_with_cost(wf, order, strategy, policy, |s| obj.cost(s))
+    optimize_with_cost(wf, order, strategy, policy, |base, sets| {
+        obj.cost_run(base, sets)
+    })
 }
 
 /// [`optimize_checkpoints_with`] minimizing the `q`-quantile of `obj`'s
 /// cost distribution ([`Objective::cost_quantile`]) instead of its mean:
 /// the same candidate family, sweep policy, and smaller-budget tie-breaks,
 /// keyed on the quantile. A `NaN` quantile (a backend whose sketch has no
-/// estimate) maps to `+∞` so it can never displace a finite candidate —
-/// the argmin fold compares with a raw `<` that would otherwise let a
-/// first-seen `NaN` win. On analytic backends `cost_quantile` falls back
-/// to the mean, so this degenerates to [`optimize_checkpoints_with`].
+/// estimate) maps to `+∞`, which ties with a genuinely infinite candidate
+/// and so falls back to the smaller budget. On analytic backends
+/// `cost_quantile` falls back to the mean, so this degenerates to
+/// [`optimize_checkpoints_with`].
 pub fn optimize_checkpoints_quantile<O: Objective + ?Sized>(
     wf: &Workflow,
     obj: &O,
@@ -454,87 +483,79 @@ pub fn optimize_checkpoints_quantile<O: Objective + ?Sized>(
     policy: SweepPolicy,
     q: f64,
 ) -> OptimizedSchedule {
-    optimize_with_cost(wf, order, strategy, policy, |s| {
-        let c = obj.cost_quantile(s, q);
-        if c.is_nan() {
-            f64::INFINITY
-        } else {
-            c
-        }
+    optimize_with_cost(wf, order, strategy, policy, |base, sets| {
+        sets.iter()
+            .map(|set| {
+                let c = obj.cost_quantile(&base.with_checkpoints(set.clone()), q);
+                if c.is_nan() {
+                    f64::INFINITY
+                } else {
+                    c
+                }
+            })
+            .collect()
     })
 }
 
-/// The strategy dispatch behind both optimizers, generic over the scalar
-/// each candidate schedule is keyed on (mean cost, quantile cost, …).
+/// The strategy dispatch behind both optimizers, generic over how a run of
+/// candidate sets on one linearization is priced (mean cost, quantile
+/// cost, …).
 fn optimize_with_cost(
     wf: &Workflow,
     order: &[NodeId],
     strategy: CheckpointStrategy,
     policy: SweepPolicy,
-    cost: impl Fn(&Schedule) -> f64 + Sync,
+    costs: impl Fn(&Schedule, &[FixedBitSet]) -> Vec<f64> + Sync,
 ) -> OptimizedSchedule {
     let n = wf.n_tasks();
+    let single = |schedule: Schedule| {
+        let e = costs(&schedule, std::slice::from_ref(schedule.checkpoints()))[0];
+        OptimizedSchedule {
+            schedule,
+            expected_makespan: e,
+            best_n: None,
+            evaluated: 1,
+        }
+    };
     match strategy {
         CheckpointStrategy::Never => {
-            let schedule = Schedule::never(wf, order.to_vec()).expect("order is valid");
-            let e = cost(&schedule);
-            OptimizedSchedule {
-                schedule,
-                expected_makespan: e,
-                best_n: None,
-                evaluated: 1,
-            }
+            single(Schedule::never(wf, order.to_vec()).expect("order is valid"))
         }
         CheckpointStrategy::Always => {
-            let schedule = Schedule::always(wf, order.to_vec()).expect("order is valid");
-            let e = cost(&schedule);
-            OptimizedSchedule {
-                schedule,
-                expected_makespan: e,
-                best_n: None,
-                evaluated: 1,
-            }
+            single(Schedule::always(wf, order.to_vec()).expect("order is valid"))
         }
-        CheckpointStrategy::Periodic => sweep_with_cost(wf, order, policy, &cost, |n_ckpt| {
+        CheckpointStrategy::Periodic => sweep_with_cost(wf, order, policy, &costs, |n_ckpt| {
             periodic_set(wf, order, n_ckpt)
         }),
         ranked => {
             // Infallible here: the Never/Always/Periodic arms above are
             // exactly the strategies `ranking` rejects.
             let rank = ranking(wf, ranked).expect("every unmatched strategy is ranked");
-            sweep_with_cost(wf, order, policy, &cost, |n_ckpt| {
+            sweep_with_cost(wf, order, policy, &costs, |n_ckpt| {
                 set_from_ranking(n, &rank, n_ckpt)
             })
         }
     }
 }
 
-/// Sweeps candidate budgets, evaluating each schedule's `cost` key in
-/// parallel; ties broken toward smaller `N`. Candidate schedules stream
-/// through a chunked fold into O(chunks) running minima — the sweep never
-/// materializes one schedule per budget.
+/// Sweeps candidate budgets in parallel, one contiguous run of budgets per
+/// worker priced by `costs`; ties broken toward smaller `N`. Only the
+/// winner is turned into a [`Schedule`].
 fn sweep_with_cost(
     wf: &Workflow,
     order: &[NodeId],
     policy: SweepPolicy,
-    cost: &(impl Fn(&Schedule) -> f64 + Sync),
+    costs: &(impl Fn(&Schedule, &[FixedBitSet]) -> Vec<f64> + Sync),
     set_for: impl Fn(usize) -> FixedBitSet + Sync,
 ) -> OptimizedSchedule {
     let n = wf.n_tasks();
     let base = Schedule::never(wf, order.to_vec()).expect("order is valid");
 
-    let eval_n = |n_ckpt: usize| -> (usize, f64, Schedule) {
-        let s = base.with_checkpoints(set_for(n_ckpt));
-        let e = cost(&s);
-        (n_ckpt, e, s)
-    };
-
-    let best_of = |candidates: Vec<usize>| -> Option<(usize, f64, Schedule)> {
-        candidates
-            .into_par_iter()
-            .map(eval_n)
-            .fold(|| None, |best, cand| better_candidate(best, Some(cand)))
-            .reduce(|| None, better_candidate)
+    let best_of = |candidates: &[usize]| {
+        argmin_over_runs(candidates, |run| {
+            let sets: Vec<FixedBitSet> = run.iter().map(|&b| set_for(b)).collect();
+            costs(&base, &sets)
+        })
     };
 
     let candidates: Vec<usize> = match policy {
@@ -550,28 +571,23 @@ fn sweep_with_cost(
     };
 
     let mut evaluated = candidates.len();
-    let (mut best_n, mut best_e, mut best_s) = best_of(candidates).expect("at least one candidate");
+    let mut best = best_of(&candidates).expect("at least one candidate");
 
     // Local refinement around the coarse winner for strided sweeps.
     if let SweepPolicy::Strided { stride } = policy {
         let stride = stride.max(1);
         if stride > 1 {
-            let lo = best_n.saturating_sub(stride - 1);
-            let hi = (best_n + stride - 1).min(n);
-            let refine: Vec<usize> = (lo..=hi).filter(|&k| k != best_n).collect();
+            let lo = best.0.saturating_sub(stride - 1);
+            let hi = (best.0 + stride - 1).min(n);
+            let refine: Vec<usize> = (lo..=hi).filter(|&k| k != best.0).collect();
             evaluated += refine.len();
-            if let Some((k, e, s)) = best_of(refine) {
-                if e < best_e || (e == best_e && k < best_n) {
-                    best_n = k;
-                    best_e = e;
-                    best_s = s;
-                }
-            }
+            best = better_candidate(Some(best), best_of(&refine)).expect("a winner exists");
         }
     }
 
+    let (best_n, best_e) = best;
     OptimizedSchedule {
-        schedule: best_s,
+        schedule: base.with_checkpoints(set_for(best_n)),
         expected_makespan: best_e,
         best_n: Some(best_n),
         evaluated,
@@ -1893,7 +1909,7 @@ mod tests {
 
     /// A NaN quantile key maps to +∞ inside the sweep, so an objective
     /// with no estimate for some candidate can never displace a finite
-    /// one (the argmin fold compares with a raw `<`).
+    /// one.
     #[test]
     fn quantile_sweep_maps_nan_keys_to_infinity() {
         struct NanAtZero<'a>(ProxyObjective<'a>);
@@ -1928,5 +1944,66 @@ mod tests {
         // The winner carries a finite key and at least one checkpoint.
         assert!(r.expected_makespan.is_finite());
         assert!(r.schedule.checkpoints().count() > 0);
+    }
+
+    /// `better_candidate` ranks NaN after every number, so every grouping
+    /// of a candidate sequence — any split into per-worker runs — picks
+    /// the same winner, even with a NaN at the head of a run.
+    #[test]
+    fn argmin_is_independent_of_run_grouping_with_nan_costs() {
+        let costs = [5.0, 3.0, f64::NAN, 1.0, 1.0, f64::INFINITY, f64::NAN, 2.0];
+        let cands: Vec<(usize, f64)> = costs.iter().copied().enumerate().collect();
+        let fold = |c: &[(usize, f64)]| {
+            c.iter()
+                .fold(None, |best, &cand| better_candidate(best, Some(cand)))
+        };
+        assert_eq!(fold(&cands), Some((3, 1.0)));
+        for a in 0..=cands.len() {
+            for b in a..=cands.len() {
+                let runs = [&cands[..a], &cands[a..b], &cands[b..]];
+                let winner = runs.iter().map(|r| fold(r)).fold(None, better_candidate);
+                assert_eq!(winner, Some((3, 1.0)), "split at {a}, {b}");
+            }
+        }
+        // All-NaN: the smallest index wins.
+        let nans = [(4, f64::NAN), (2, f64::NAN), (7, f64::NAN)];
+        assert_eq!(fold(&nans).map(|c| c.0), Some(2));
+    }
+
+    /// A mean sweep over an objective with no value (NaN) for one budget
+    /// in the middle of the range still returns the finite argmin right
+    /// next to it.
+    #[test]
+    fn mean_sweep_skips_a_nan_budget() {
+        struct NanAtHundred;
+        impl Objective for NanAtHundred {
+            fn cost(&self, s: &Schedule) -> f64 {
+                match s.checkpoints().count() {
+                    100 => f64::NAN,
+                    b => (b as f64 - 101.0).abs() + 1.0,
+                }
+            }
+            fn label(&self) -> &'static str {
+                "nan-at-100"
+            }
+        }
+        let n = 200;
+        let wf = Workflow::with_cost_rule(
+            generators::chain(n),
+            (0..n).map(|i| 1.0 + i as f64).collect(),
+            CostRule::Constant { value: 1.0 },
+        );
+        let order = topo::topological_order(wf.dag());
+        for policy in [SweepPolicy::Exhaustive, SweepPolicy::Strided { stride: 4 }] {
+            let r = optimize_checkpoints_with(
+                &wf,
+                &NanAtHundred,
+                &order,
+                CheckpointStrategy::ByDecreasingWork,
+                policy,
+            );
+            assert_eq!(r.best_n, Some(101), "{policy:?}");
+            assert_eq!(r.expected_makespan, 1.0, "{policy:?}");
+        }
     }
 }

@@ -99,9 +99,25 @@ impl FaultModel {
         if self.lambda == 0.0 {
             return w + c;
         }
-        let l = self.lambda;
-        // exp_m1 keeps precision when λ(w+c) is tiny.
-        (l * r).exp() * (1.0 / l + self.downtime) * (l * (w + c)).exp_m1()
+        self.recovery_growth(w, c, r)
+            * (1.0 / self.lambda + self.downtime)
+            * self.expected_faults_per_block(w + c)
+    }
+
+    /// `e^{λr}`: the factor by which a per-retry recovery `r` scales both
+    /// Equation (1) and the block's expected fault count
+    /// `e^{λr}(e^{λ(w+c)} − 1)`.
+    ///
+    /// A zero-length block (`w + c = 0`) returns `0`: it takes no time and
+    /// suffers no fault, while `e^{λr}` may overflow to `∞` and `∞ · 0`
+    /// would be `NaN`. Wherever the plain product is finite it is `0` for
+    /// such a block, so the guard changes no finite value.
+    #[inline]
+    pub fn recovery_growth(&self, w: f64, c: f64, r: f64) -> f64 {
+        if w + c == 0.0 {
+            return 0.0;
+        }
+        (self.lambda * r).exp()
     }
 
     /// Expected time lost when a fault strikes during `w` seconds of work
@@ -131,7 +147,9 @@ impl FaultModel {
     /// Expected number of faults striking during an *uninterruptible* block
     /// of `w` seconds that is restarted from scratch after each fault:
     /// `e^{λw} − 1` (geometric retries).
+    #[inline]
     pub fn expected_faults_per_block(&self, w: f64) -> f64 {
+        // exp_m1 keeps precision when λw is tiny.
         (self.lambda * w).exp_m1()
     }
 }
@@ -188,6 +206,26 @@ mod tests {
         // For tiny λ, Eq. (1) must approach w + c.
         let tiny = FaultModel::new(1e-12, 0.0);
         assert!(close(tiny.expected_exec_time(50.0, 5.0, 3.0), 55.0, 1e-6));
+    }
+
+    #[test]
+    fn zero_length_block_costs_nothing_even_when_recovery_overflows() {
+        // e^{λr} overflows (λr = 800) while e^{λ(w+c)} − 1 is exactly 0.
+        let m = FaultModel::new(0.08, 1.0);
+        assert_eq!(m.recovery_growth(0.0, 0.0, 10_000.0), 0.0);
+        assert_eq!(m.expected_exec_time(0.0, 0.0, 10_000.0), 0.0);
+        // A non-empty block with the same recovery still overflows to ∞.
+        assert_eq!(m.expected_exec_time(1.0, 0.0, 10_000.0), f64::INFINITY);
+        // Finite values are untouched by the guard.
+        assert_eq!(
+            m.recovery_growth(5.0, 1.0, 3.0).to_bits(),
+            (0.08f64 * 3.0).exp().to_bits()
+        );
+        let direct = (0.08f64 * 3.0).exp() * (1.0 / 0.08 + 1.0) * (0.08f64 * 6.0).exp_m1();
+        assert_eq!(
+            m.expected_exec_time(5.0, 1.0, 3.0).to_bits(),
+            direct.to_bits()
+        );
     }
 
     #[test]

@@ -6,12 +6,16 @@
 //! non-blocking, replicated by degree and by set, tenant), for the per-item
 //! metric fold `trial_metric_tail_stats` (through the replicated
 //! non-blocking runner), for ragged and zero trial counts,
-//! and for the Theorem-3 cross-validation itself. The vendored executor reads the variable at
+//! for the Theorem-3 cross-validation itself, and for the checkpoint
+//! optimizers, whose sweeps give each worker one contiguous run of
+//! candidates and one stateful evaluator. The vendored executor reads the variable at
 //! every dispatch, so each run sees its own pool size; a mutex serializes
 //! the env mutation.
 
 use dagchkpt_core::{
-    expected_makespan, linearize, CostRule, LinearizationStrategy, Schedule, Workflow,
+    expected_makespan, linearize, local_search_with, optimize_checkpoints, CheckpointStrategy,
+    CostRule, LinearizationStrategy, OptimizedSchedule, ProxyObjective, Schedule, SweepPolicy,
+    Workflow,
 };
 use dagchkpt_dag::{generators, topo, FixedBitSet};
 use dagchkpt_failure::{ExponentialInjector, FaultModel, HeteroPlatform, Processor};
@@ -24,6 +28,7 @@ use dagchkpt_sim::replicated::{
 };
 use dagchkpt_sim::stats::Stats;
 use dagchkpt_sim::tenant::{run_tenant_trials_with, TenantConfig, TenantJob, TenantPolicy};
+use dagchkpt_workflows::PegasusKind;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::{Mutex, PoisonError};
@@ -321,4 +326,53 @@ fn run_trials_cross_validates_identically_across_thread_counts() {
     let analytic = expected_makespan(&wf, model, &s);
     let z = (one.makespan.mean() - analytic) / one.makespan.sem();
     assert!(z.abs() <= 3.0, "validation off: {z:.2} sigma");
+}
+
+fn assert_optimized_identical(a: &OptimizedSchedule, b: &OptimizedSchedule, what: &str) {
+    assert_eq!(a.schedule, b.schedule, "{what}: schedule");
+    assert_eq!(
+        a.expected_makespan.to_bits(),
+        b.expected_makespan.to_bits(),
+        "{what}: makespan"
+    );
+    assert_eq!(a.best_n, b.best_n, "{what}: best_n");
+    assert_eq!(a.evaluated, b.evaluated, "{what}: evaluated");
+}
+
+fn cybershake200() -> Workflow {
+    PegasusKind::CyberShake.generate(200, CostRule::ProportionalToWork { ratio: 0.1 }, 42)
+}
+
+/// The budget sweep cuts its candidates into one run per worker; neither
+/// the winner nor its bits may depend on that split.
+#[test]
+fn checkpoint_sweeps_are_bit_identical_across_thread_counts() {
+    let wf = cybershake200();
+    let model = FaultModel::new(PegasusKind::CyberShake.default_lambda(), 1.0);
+    let order = linearize(&wf, LinearizationStrategy::DepthFirst);
+    for strategy in [
+        CheckpointStrategy::Periodic,
+        CheckpointStrategy::ByDecreasingWork,
+        CheckpointStrategy::ByIncreasingCkptCost,
+        CheckpointStrategy::ByDecreasingOutweight,
+    ] {
+        for policy in [SweepPolicy::Exhaustive, SweepPolicy::Strided { stride: 9 }] {
+            let [one, four] =
+                under_thread_counts(|| optimize_checkpoints(&wf, model, &order, strategy, policy));
+            assert_optimized_identical(&one, &four, &format!("{strategy:?} {policy:?}"));
+        }
+    }
+}
+
+/// Local search prices each round's single-flip candidates in per-worker
+/// runs of schedule positions; every round must pick the same flip.
+#[test]
+fn local_search_is_bit_identical_across_thread_counts() {
+    let wf = cybershake200();
+    let model = FaultModel::new(PegasusKind::CyberShake.default_lambda(), 1.0);
+    let order = linearize(&wf, LinearizationStrategy::BreadthFirst);
+    let obj = ProxyObjective::new(&wf, model);
+    let init = FixedBitSet::from_indices(wf.n_tasks(), (0..wf.n_tasks()).step_by(5));
+    let [one, four] = under_thread_counts(|| local_search_with(&wf, &obj, &order, init.clone(), 6));
+    assert_optimized_identical(&one, &four, "local search");
 }
