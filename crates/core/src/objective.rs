@@ -105,11 +105,11 @@ pub trait Objective: Sync {
 
     /// The costs of a run of checkpoint sets on `base`'s linearization
     /// (`base`'s own set is ignored), in order: the hook through which the
-    /// budget sweeps and the local search price their candidates, one
-    /// contiguous run per worker. The default forwards every set to
-    /// [`cost`]. A backend with a stateful evaluator overrides it to reuse
-    /// work between neighbouring sets; the override must return exactly
-    /// the bits [`cost`] would.
+    /// budget sweeps and the local search price their candidates, in
+    /// contiguous runs shared among the workers. The default forwards
+    /// every set to [`cost`]. A backend with a stateful evaluator overrides
+    /// it to reuse work between neighbouring sets; the override must return
+    /// exactly the bits [`cost`] would.
     ///
     /// [`cost`]: Objective::cost
     fn cost_run(&self, base: &Schedule, sets: &[FixedBitSet]) -> Vec<f64> {

@@ -7,10 +7,10 @@
 //! metric fold `trial_metric_tail_stats` (through the replicated
 //! non-blocking runner), for ragged and zero trial counts,
 //! for the Theorem-3 cross-validation itself, and for the checkpoint
-//! optimizers, whose sweeps give each worker one contiguous run of
-//! candidates and one stateful evaluator. The vendored executor reads the variable at
-//! every dispatch, so each run sees its own pool size; a mutex serializes
-//! the env mutation.
+//! optimizers, whose sweeps cut their candidates into a few contiguous
+//! runs per worker, each priced by one stateful evaluator. The vendored
+//! executor reads the variable at every dispatch, so each run sees its own
+//! pool size; a mutex serializes the env mutation.
 
 use dagchkpt_core::{
     expected_makespan, linearize, local_search_with, optimize_checkpoints, CheckpointStrategy,
