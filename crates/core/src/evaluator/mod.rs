@@ -39,8 +39,9 @@
 //! A budget sweep evaluates nested or otherwise nearby checkpoint sets on
 //! one linearization. [`SweepEvaluator`] keeps the whole evaluation as
 //! state: when the first changed position is `p`, it reruns only the
-//! `n − p` passes `k > p`, recomputes only the transcendentals whose inputs
-//! changed bits, and resumes the assembly at row `p`. A one-shot
+//! passes `k > p` that read a changed bit, each from the first row that
+//! did, recomputes only the transcendentals whose inputs changed bits, and
+//! resumes the assembly at row `p`. A one-shot
 //! [`evaluate`] is its first call, so every path shares one assembly loop.
 //! [`literal`] is a faithful transcription of the paper's pseudo-code,
 //! kept as the cross-validation oracle for [`recovery`]; it feeds the same

@@ -57,34 +57,33 @@ impl RecoveryMatrices {
         let mut w = vec![0.0f64; (n + 1) * (n + 1)];
         let mut r = vec![0.0f64; (n + 1) * (n + 1)];
         let mut passes = RecoveryPasses::new(wf, schedule.order());
+        let mut mark = vec![0u32; n];
         for k in 1..=n {
-            passes.run(
-                schedule.checkpoints(),
-                k,
-                |_| {},
-                |i, wi, ri| {
-                    let idx = i * (n + 1) + k;
-                    w[idx] = wi;
-                    r[idx] = ri;
-                },
-            );
+            mark.fill(0);
+            passes.run(schedule.checkpoints(), k, k, &mut mark, |i, wi, ri| {
+                let idx = i * (n + 1) + k;
+                w[idx] = wi;
+                r[idx] = ri;
+            });
         }
         RecoveryMatrices { n, w, r }
     }
 }
 
 /// The per-`k` passes behind [`RecoveryMatrices::compute`], with their
-/// scratch (position map, mark array, DFS stack) allocated once per
-/// linearization. Pass `k` reads the checkpoint bit only of tasks at
-/// positions `< k`, so a caller that changes the checkpoint set from
-/// position `p` on needs to rerun only the passes `k > p`.
+/// scratch (position map, DFS stack) allocated once per linearization.
+///
+/// A pass keeps a mark array: `mark[task]` is the position at which the
+/// task was first studied during the pass (0 = not yet). Pass `k` reads the
+/// checkpoint bit of a task only when it marks one at a position `< k`, so
+/// a caller that changes the checkpoint set from position `p` on needs to
+/// rerun only the passes `k > p`, and of those only the rows from the
+/// first one that marked a changed task.
 pub(crate) struct RecoveryPasses<'a> {
     wf: &'a Workflow,
     order: &'a [NodeId],
     /// `pos1[task]` = 1-based schedule position.
     pos1: Vec<usize>,
-    /// `mark[task]` = position at which the task was studied in this pass.
-    mark: Vec<u32>,
     stack: Vec<NodeId>,
 }
 
@@ -99,27 +98,26 @@ impl<'a> RecoveryPasses<'a> {
             wf,
             order,
             pos1,
-            mark: vec![0u32; n],
             stack: Vec::with_capacity(n),
         }
     }
 
-    /// Pass `k` (the last fault hit position `k`) under the task-indexed
-    /// checkpoint set `ckpt`: calls `emit(i, W^i_k, R^i_k)` for
-    /// `i = k ..= n`, in that order, and `studied(q)` for every position
-    /// `q < k` whose checkpoint bit the pass reads. A pass that reads none
-    /// of the bits a new set changes would repeat itself exactly.
+    /// Rows `from ..= n` of pass `k` (the last fault hit position `k`)
+    /// under the task-indexed checkpoint set `ckpt`: calls
+    /// `emit(i, W^i_k, R^i_k)` for each row `i`, in order. On entry `mark`
+    /// holds the pass's marks of rows `k .. from` (all zero when
+    /// `from == k`); on return, those of the whole pass.
     pub(crate) fn run(
         &mut self,
         ckpt: &FixedBitSet,
         k: usize,
-        mut studied: impl FnMut(usize),
+        from: usize,
+        mark: &mut [u32],
         mut emit: impl FnMut(usize, f64, f64),
     ) {
         let (wf, dag, pos1) = (self.wf, self.wf.dag(), &self.pos1);
-        let (mark, stack) = (&mut self.mark, &mut self.stack);
-        mark.fill(0);
-        for i in k..=self.order.len() {
+        let stack = &mut self.stack;
+        for i in from..=self.order.len() {
             let mut wi = 0.0f64;
             let mut ri = 0.0f64;
             // DFS from the task at position i through its lost inputs.
@@ -135,7 +133,6 @@ impl<'a> RecoveryPasses<'a> {
                     mark[j] = i as u32;
                     if pos1[j] < k {
                         // Executed before the fault: output lost.
-                        studied(pos1[j]);
                         if ckpt.contains(j) {
                             ri += wf.recovery_cost(p);
                         } else {

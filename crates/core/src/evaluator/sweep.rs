@@ -7,9 +7,11 @@
 //! first schedule position whose bit changed:
 //!
 //! * **Recovery passes.** Pass `k` reads the checkpoint bits of positions
-//!   `< k` only, so the passes `k ≤ p` are reused. Of the passes `k > p`,
-//!   only those that read a changed bit last time rerun: a pass that
-//!   studied none of the changed tasks would repeat itself exactly. Each
+//!   `< k` only, so the passes `k ≤ p` are reused. Each pass keeps its mark
+//!   array, which records the row at which every task was first studied.
+//!   A pass `k > p` that studied none of the changed tasks would repeat
+//!   itself exactly and is skipped; otherwise it reruns from the first row
+//!   that studied one, from the marks of the rows before it. Each
 //!   rewritten `W^i_k + R^i_k` is compared with its old bits.
 //! * **Transcendentals.** The property-A decay `e^{−λ S(j,k)}` and the two
 //!   factors `e^{λ·rec}` and `e^{λ(a + w_i + δ_i c_i)} − 1` that property
@@ -42,7 +44,8 @@ fn tri(i: usize, k: usize) -> usize {
 /// Stateful Theorem-3 evaluator over one fixed linearization: evaluates
 /// any sequence of checkpoint sets, each call reusing what it shares with
 /// the previous one (see the module docs). Its tables hold
-/// `5 · (n+1)(n+2)/2` floats — about 0.8 MB at `n = 200`.
+/// `5 · (n+1)(n+2)/2` floats and `(n+1) · n` marks — about 1 MB at
+/// `n = 200`.
 pub struct SweepEvaluator<'a> {
     model: FaultModel,
     order: &'a [NodeId],
@@ -53,10 +56,9 @@ pub struct SweepEvaluator<'a> {
     /// Checkpoint bit per position of the last evaluated set.
     ckpt: Vec<bool>,
     evaluated: bool,
-    /// Bit rows of `words` words: row `k`, bit `q` = pass `k` read the
-    /// checkpoint bit of position `q`.
-    studied: Vec<u64>,
-    words: usize,
+    /// Mark arrays of the passes, `n` per pass: `marks[k·n + task]` = row
+    /// at which pass `k` first studied the task (0 = never).
+    marks: Vec<u32>,
     // Lower-triangular tables (see [`tri`]); entry `(i, k)`:
     /// `W^i_k + R^i_k` for `k ≥ 1`; column 0 stays 0 (no fault yet).
     lost: Vec<f64>,
@@ -100,7 +102,6 @@ impl<'a> SweepEvaluator<'a> {
         } else {
             tri(n + 1, 0)
         };
-        let words = (n + 1).div_ceil(64);
         let mut pz = vec![0.0f64; cells];
         if n > 0 && cells > 0 {
             pz[tri(1, 0)] = 1.0;
@@ -113,8 +114,7 @@ impl<'a> SweepEvaluator<'a> {
             c,
             ckpt: vec![false; n + 1],
             evaluated: false,
-            studied: vec![0; if cells == 0 { 0 } else { (n + 1) * words }],
-            words,
+            marks: vec![0; if cells == 0 { 0 } else { (n + 1) * n }],
             lost: vec![0.0; cells],
             decay: vec![0.0; cells],
             growth: vec![0.0; cells],
@@ -219,9 +219,9 @@ impl<'a> SweepEvaluator<'a> {
         self.changed.clear();
     }
 
-    /// Reruns the recovery passes `k ≥ from` that read a changed bit,
-    /// recording which entries changed bits (a fresh state recomputes
-    /// every row anyway).
+    /// Reruns the recovery passes `k ≥ from` that read a changed bit, from
+    /// the first row that did, recording which entries changed bits (a
+    /// fresh state recomputes every row anyway).
     fn refresh_lost(
         &mut self,
         ckpt: &FixedBitSet,
@@ -230,18 +230,35 @@ impl<'a> SweepEvaluator<'a> {
         lost: Option<&dyn Fn(usize, usize) -> (f64, f64)>,
     ) {
         let n = self.order.len();
-        let words = self.words;
+        let order = self.order;
         let flips = &self.flips;
         let table = &mut self.lost;
         let diag_changed = &mut self.diag_changed;
         let changed = &mut self.changed;
         for k in from..=n {
-            let studied = &mut self.studied[k * words..(k + 1) * words];
-            let reads = |q: usize| studied[q / 64] >> (q % 64) & 1 == 1;
-            if !fresh && lost.is_none() && !flips.iter().any(|&q| q < k && reads(q)) {
-                continue;
-            }
-            studied.fill(0);
+            let mark = &mut self.marks[k * n..(k + 1) * n];
+            // First row of the pass that studied a changed task.
+            let start = if fresh || lost.is_some() {
+                mark.fill(0);
+                k
+            } else {
+                let studied = flips
+                    .iter()
+                    .filter(|&&q| q < k)
+                    .map(|&q| mark[order[q - 1].index()])
+                    .filter(|&row| row != 0)
+                    .min();
+                let Some(row) = studied else {
+                    continue; // the pass reads no changed bit
+                };
+                let row = row as usize;
+                for m in mark.iter_mut() {
+                    if *m as usize >= row {
+                        *m = 0;
+                    }
+                }
+                row
+            };
             let mut store = |i: usize, wi: f64, ri: f64| {
                 let v = wi + ri;
                 let slot = &mut table[tri(i, k)];
@@ -255,9 +272,7 @@ impl<'a> SweepEvaluator<'a> {
                 }
             };
             match lost {
-                None => self
-                    .passes
-                    .run(ckpt, k, |q| studied[q / 64] |= 1 << (q % 64), store),
+                None => self.passes.run(ckpt, k, start, mark, store),
                 Some(f) => (k..=n).for_each(|i| {
                     let (wi, ri) = f(i, k);
                     store(i, wi, ri)
