@@ -54,7 +54,7 @@ pub use exec::{
     cell_best_rows, cell_csv_rows, run_cell_full, run_cell_plan, stage_header, tenant_csv_rows,
     CellExecution, ScheduleDetail, TenantRow, GENERIC_HEADER, TENANT_HEADER,
 };
-pub use runner::{auto_policy, run_cell, Cell, Row};
+pub use runner::{auto_policy, Row};
 pub use scenario::{
     AdmissionPolicy, ArrivalSpec, CellPlan, FailureCell, FailureSpec, ObjectiveSpec, OptimizerSpec,
     PlatformSpec, ProcessorSpec, ReplicationSpec, ScenarioError, ScenarioSpec, SeedPolicy,

@@ -135,7 +135,7 @@ pub fn expected_makespan_literal(wf: &Workflow, model: FaultModel, schedule: &Sc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluator::recovery::RecoveryMatrices;
+    use crate::evaluator::recovery::tests::matrices;
     use crate::model::{CostRule, Workflow};
     use crate::schedule::Schedule;
     use dagchkpt_dag::{generators, topo, FixedBitSet, NodeId};
@@ -170,11 +170,11 @@ mod tests {
         ckpt.insert(3);
         ckpt.insert(4);
         let s = Schedule::new(&wf, order, ckpt).unwrap();
-        let opt = RecoveryMatrices::compute(&wf, &s);
+        let opt = matrices(&wf, &s);
         let lit = recovery_matrices_literal(&wf, &s);
         for i in 1..=8 {
             for k in 1..=i {
-                let (ow, orr) = opt.get(i, k);
+                let (ow, orr) = opt(i, k);
                 let (lw, lr) = lit.get(i, k);
                 assert!((ow - lw).abs() < 1e-12, "W({i},{k}): {ow} vs {lw}");
                 assert!((orr - lr).abs() < 1e-12, "R({i},{k}): {orr} vs {lr}");
@@ -188,11 +188,11 @@ mod tests {
         #[test]
         fn matrices_agree_on_random_instances(seed in 0u64..2000, n in 1usize..22) {
             let (wf, s) = random_instance(seed, n);
-            let opt = RecoveryMatrices::compute(&wf, &s);
+            let opt = matrices(&wf, &s);
             let lit = recovery_matrices_literal(&wf, &s);
             for i in 1..=n {
                 for k in 1..=i {
-                    let (ow, orr) = opt.get(i, k);
+                    let (ow, orr) = opt(i, k);
                     let (lw, lr) = lit.get(i, k);
                     prop_assert!((ow - lw).abs() <= 1e-9 * ow.abs().max(1.0),
                         "W({i},{k}): optimized {ow} vs literal {lw}");

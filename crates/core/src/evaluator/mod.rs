@@ -40,17 +40,18 @@
 //! one linearization. [`SweepEvaluator`] keeps the whole evaluation as
 //! state: when the first changed position is `p`, it reruns only the
 //! passes `k > p` that read a changed bit, each from the first row that
-//! did, recomputes only the transcendentals whose inputs changed bits, and
-//! resumes the assembly at row `p`. A one-shot
-//! [`evaluate`] is its first call, so every path shares one assembly loop.
-//! [`literal`] is a faithful transcription of the paper's pseudo-code,
-//! kept as the cross-validation oracle for [`recovery`]; it feeds the same
-//! assembly.
+//! did, re-prices only the entries whose inputs changed bits, and resumes
+//! the assembly at row `p`. It is the one Theorem-3 engine: a one-shot
+//! [`evaluate`] is its first call, the replica groups of [`replicated`]
+//! are a second block pricing of the same engine, and [`literal`] — a
+//! faithful transcription of the paper's pseudo-code, kept as the
+//! cross-validation oracle for [`recovery`] — feeds its aggregates into the
+//! same assembly.
 
 pub mod literal;
 pub mod recovery;
 pub mod replicated;
-pub mod sweep;
+mod sweep;
 
 use crate::model::Workflow;
 use crate::schedule::Schedule;

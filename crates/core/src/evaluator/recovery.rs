@@ -14,82 +14,38 @@
 //! scanned at most twice, so a pass costs `O(n + |E|)` and all `n` passes
 //! `O(n(n + |E|))` — down from the paper's `O(n⁴)` (their Algorithm 1 spends
 //! `O(n)` per studied task zeroing future table rows). The unit tests of
-//! [`super::literal`] check both implementations produce identical matrices.
+//! [`super::literal`] check both implementations produce identical aggregates.
 
 use crate::model::Workflow;
-use crate::schedule::Schedule;
 use dagchkpt_dag::{FixedBitSet, NodeId};
 
-/// Dense `W^i_k` / `R^i_k` matrices for one schedule (1-based positions;
-/// entries defined for `1 ≤ k ≤ i ≤ n`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryMatrices {
-    n: usize,
-    /// `w[i·(n+1)+k] = W^i_k` — total weight of lost, still-needed,
-    /// non-checkpointed ancestors to re-execute before the task at
-    /// position `i`, given the last fault hit position `k`.
-    w: Vec<f64>,
-    /// `r[i·(n+1)+k] = R^i_k` — total recovery cost of lost, still-needed,
-    /// checkpointed ancestors.
-    r: Vec<f64>,
-}
-
-impl RecoveryMatrices {
-    /// `(W^i_k, R^i_k)` for `1 ≤ k ≤ i ≤ n`.
-    #[inline]
-    pub fn get(&self, i: usize, k: usize) -> (f64, f64) {
-        debug_assert!(
-            1 <= k && k <= i && i <= self.n,
-            "get({i}, {k}) out of range"
-        );
-        let idx = i * (self.n + 1) + k;
-        (self.w[idx], self.r[idx])
-    }
-
-    /// Number of tasks.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Computes all matrices for `schedule` in `O(n(n + |E|))`.
-    pub fn compute(wf: &Workflow, schedule: &Schedule) -> Self {
-        let n = wf.n_tasks();
-        let mut w = vec![0.0f64; (n + 1) * (n + 1)];
-        let mut r = vec![0.0f64; (n + 1) * (n + 1)];
-        let mut passes = RecoveryPasses::new(wf, schedule.order());
-        let mut mark = vec![0u32; n];
-        for k in 1..=n {
-            mark.fill(0);
-            passes.run(schedule.checkpoints(), k, k, &mut mark, |i, wi, ri| {
-                let idx = i * (n + 1) + k;
-                w[idx] = wi;
-                r[idx] = ri;
-            });
-        }
-        RecoveryMatrices { n, w, r }
-    }
-}
-
-/// The per-`k` passes behind [`RecoveryMatrices::compute`], with their
-/// scratch (position map, DFS stack) allocated once per linearization.
+/// The per-`k` passes that compute the lost-set aggregates of one
+/// linearization, with their scratch (position map, DFS stack) allocated
+/// once. Recovery costs come from a task-indexed array the passes own, so
+/// an evaluator can re-price one task's recovery without a workflow copy.
 ///
 /// A pass keeps a mark array: `mark[task]` is the position at which the
 /// task was first studied during the pass (0 = not yet). Pass `k` reads the
-/// checkpoint bit of a task only when it marks one at a position `< k`, so
-/// a caller that changes the checkpoint set from position `p` on needs to
-/// rerun only the passes `k > p`, and of those only the rows from the
-/// first one that marked a changed task.
+/// checkpoint bit and the recovery cost of a task only when it marks one
+/// at a position `< k`, so a caller that changes either from position `p`
+/// on needs to rerun only the passes `k > p`, and of those only the rows
+/// from the first one that marked a changed task.
 pub(crate) struct RecoveryPasses<'a> {
     wf: &'a Workflow,
     order: &'a [NodeId],
     /// `pos1[task]` = 1-based schedule position.
-    pos1: Vec<usize>,
+    pub(crate) pos1: Vec<usize>,
+    /// `rec[task]` = recovery cost of the task's checkpoint.
+    pub(crate) rec: Vec<f64>,
     stack: Vec<NodeId>,
 }
 
 impl<'a> RecoveryPasses<'a> {
-    pub(crate) fn new(wf: &'a Workflow, order: &'a [NodeId]) -> Self {
+    /// Passes over the linearization `order` of `wf`, with the task-indexed
+    /// recovery costs `rec`.
+    pub(crate) fn new(wf: &'a Workflow, order: &'a [NodeId], rec: Vec<f64>) -> Self {
         let n = wf.n_tasks();
+        assert_eq!(rec.len(), n, "one recovery cost per task");
         let mut pos1 = vec![0usize; n];
         for (idx, &t) in order.iter().enumerate() {
             pos1[t.index()] = idx + 1;
@@ -98,6 +54,7 @@ impl<'a> RecoveryPasses<'a> {
             wf,
             order,
             pos1,
+            rec,
             stack: Vec::with_capacity(n),
         }
     }
@@ -115,7 +72,7 @@ impl<'a> RecoveryPasses<'a> {
         mark: &mut [u32],
         mut emit: impl FnMut(usize, f64, f64),
     ) {
-        let (wf, dag, pos1) = (self.wf, self.wf.dag(), &self.pos1);
+        let (wf, dag, pos1, rec) = (self.wf, self.wf.dag(), &self.pos1, &self.rec);
         let stack = &mut self.stack;
         for i in from..=self.order.len() {
             let mut wi = 0.0f64;
@@ -134,7 +91,7 @@ impl<'a> RecoveryPasses<'a> {
                     if pos1[j] < k {
                         // Executed before the fault: output lost.
                         if ckpt.contains(j) {
-                            ri += wf.recovery_cost(p);
+                            ri += rec[j];
                         } else {
                             wi += wf.work(p);
                             // Re-executing p needs p's own inputs.
@@ -151,11 +108,31 @@ impl<'a> RecoveryPasses<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::model::{CostRule, TaskCosts, Workflow};
     use crate::schedule::Schedule;
     use dagchkpt_dag::{generators, topo, FixedBitSet, NodeId};
+
+    /// Test-only collector over [`RecoveryPasses::run`]: the dense
+    /// `(W^i_k, R^i_k)` of `schedule` for `1 ≤ k ≤ i ≤ n`, as a lookup.
+    pub(crate) fn matrices(
+        wf: &Workflow,
+        schedule: &Schedule,
+    ) -> impl Fn(usize, usize) -> (f64, f64) {
+        let n = wf.n_tasks();
+        let mut table = vec![(0.0f64, 0.0f64); (n + 1) * (n + 1)];
+        let rec = (0..n).map(|t| wf.recovery_cost(NodeId::from(t))).collect();
+        let mut passes = RecoveryPasses::new(wf, schedule.order(), rec);
+        let mut mark = vec![0u32; n];
+        for k in 1..=n {
+            mark.fill(0);
+            passes.run(schedule.checkpoints(), k, k, &mut mark, |i, wi, ri| {
+                table[i * (n + 1) + k] = (wi, ri);
+            });
+        }
+        move |i, k| table[i * (n + 1) + k]
+    }
 
     /// Figure-1 workflow with unit weights, c = r = 0.1.
     fn fig1() -> (Workflow, Schedule) {
@@ -180,16 +157,16 @@ mod tests {
         // Chain T0→T1→T2, no checkpoints, natural order.
         let wf = Workflow::uniform(generators::chain(3), 2.0, 0.0);
         let s = Schedule::never(&wf, topo::topological_order(wf.dag())).unwrap();
-        let m = RecoveryMatrices::compute(&wf, &s);
+        let m = matrices(&wf, &s);
         // W^i_i: all predecessors must be re-executed from scratch.
-        assert_eq!(m.get(1, 1), (0.0, 0.0));
-        assert_eq!(m.get(2, 2), (2.0, 0.0));
-        assert_eq!(m.get(3, 3), (4.0, 0.0));
+        assert_eq!(m(1, 1), (0.0, 0.0));
+        assert_eq!(m(2, 2), (2.0, 0.0));
+        assert_eq!(m(3, 3), (4.0, 0.0));
         // After a fault at position k, the chain prefix is rebuilt inside
         // X_k itself, so later tasks need nothing extra.
-        assert_eq!(m.get(2, 1), (0.0, 0.0));
-        assert_eq!(m.get(3, 1), (0.0, 0.0));
-        assert_eq!(m.get(3, 2), (0.0, 0.0));
+        assert_eq!(m(2, 1), (0.0, 0.0));
+        assert_eq!(m(3, 1), (0.0, 0.0));
+        assert_eq!(m(3, 2), (0.0, 0.0));
     }
 
     #[test]
@@ -201,9 +178,9 @@ mod tests {
         let mut ckpt = FixedBitSet::new(2);
         ckpt.insert(0);
         let s = Schedule::new(&wf, topo::topological_order(wf.dag()), ckpt).unwrap();
-        let m = RecoveryMatrices::compute(&wf, &s);
-        assert_eq!(m.get(2, 2), (0.0, 0.7));
-        assert_eq!(m.get(2, 1), (0.0, 0.0)); // rebuilt during X_1
+        let m = matrices(&wf, &s);
+        assert_eq!(m(2, 2), (0.0, 0.7));
+        assert_eq!(m(2, 1), (0.0, 0.0)); // rebuilt during X_1
     }
 
     #[test]
@@ -213,15 +190,15 @@ mod tests {
         // only the checkpoint of T3 (r=0.1); T6 then needs the checkpoint of
         // T4; T7 needs the re-execution of T1 and T2 (w=2.0 total).
         let (wf, s) = fig1();
-        let m = RecoveryMatrices::compute(&wf, &s);
+        let m = matrices(&wf, &s);
         // Position 6 is T5 (preds: T3 ckpt). Full closure:
-        assert_eq!(m.get(6, 6), (0.0, 0.1));
+        assert_eq!(m(6, 6), (0.0, 0.1));
         // Fault during X_6 (T5): position 7 is T6 (preds T4 ckpt, T5).
         // T5 is rebuilt within X_6; T4's in-memory output died ⇒ recover.
-        assert_eq!(m.get(7, 6), (0.0, 0.1));
+        assert_eq!(m(7, 6), (0.0, 0.1));
         // Position 8 is T7 (preds T2, T6). T6 rebuilt in X_7. T2 was lost
         // and is not checkpointed ⇒ re-execute T2 and its pred T1.
-        assert_eq!(m.get(8, 6), (2.0, 0.0));
+        assert_eq!(m(8, 6), (2.0, 0.0));
         let _ = wf;
     }
 
@@ -240,10 +217,10 @@ mod tests {
         ckpt.insert(0);
         ckpt.insert(1);
         let s = Schedule::new(&wf, topo::topological_order(wf.dag()), ckpt).unwrap();
-        let m = RecoveryMatrices::compute(&wf, &s);
-        assert_eq!(m.get(3, 2), (0.0, 0.3)); // recover T0 only
-        assert_eq!(m.get(3, 3), (0.0, 0.8)); // fault during X_3: recover both
-        assert_eq!(m.get(2, 2), (0.0, 0.0)); // T1 is a source
+        let m = matrices(&wf, &s);
+        assert_eq!(m(3, 2), (0.0, 0.3)); // recover T0 only
+        assert_eq!(m(3, 3), (0.0, 0.8)); // fault during X_3: recover both
+        assert_eq!(m(2, 2), (0.0, 0.0)); // T1 is a source
     }
 
     #[test]
@@ -263,10 +240,10 @@ mod tests {
             0.0,
         );
         let s = Schedule::never(&wf, topo::topological_order(wf.dag())).unwrap();
-        let m = RecoveryMatrices::compute(&wf, &s);
-        assert_eq!(m.get(4, 4), (15.0, 0.0)); // T1 + T2 + T0, not T0 twice
-                                              // Fault at X_3 (T2): X_3 rebuilds T0 and T2; T1 was lost and is
-                                              // needed by T3 ⇒ W^4_3 = w1 only.
-        assert_eq!(m.get(4, 3), (5.0, 0.0));
+        let m = matrices(&wf, &s);
+        assert_eq!(m(4, 4), (15.0, 0.0)); // T1 + T2 + T0, not T0 twice
+                                          // Fault at X_3 (T2): X_3 rebuilds T0 and T2; T1 was lost and is
+                                          // needed by T3 ⇒ W^4_3 = w1 only.
+        assert_eq!(m(4, 3), (5.0, 0.0));
     }
 }

@@ -70,34 +70,32 @@
 //! (`tests` pin the text), and this module asserts the hard `u32`-mask
 //! bound of 32 replicas loudly rather than overflowing.
 //!
-//! # Memoized incremental evaluation
+//! # One engine
 //!
-//! A checkpoint-budget sweep evaluates `n` candidate schedules that differ
-//! in a handful of checkpoint bits: most `(block, rework, recovery)`
-//! attempt contents — hence their `2^r` statistics — are **shared between
-//! candidates**. [`ReplicatedEvaluator`] caches per-attempt statistics
-//! keyed on the exact bit patterns of the attempt content, so a candidate
-//! that changes only a few block boundaries recomputes only the affected
-//! blocks' statistics; everything else is a hash lookup. The cache is
-//! *transparent*: on a miss it runs the very same code the uncached path
-//! runs, so memoized and naive evaluations are **bit-identical** (pinned
-//! by tests; the perfbench rows `replicated.sweep_ms.n200` and
-//! `replicated.memo_entries` measure the cache).
+//! Replica groups are priced through the same stateful Theorem-3 engine as
+//! the paper's machine ([`super::SweepEvaluator`]): a replica-group pricing
+//! supplies the property-A factor `1 − q_{j,k}` (in pool order), the
+//! first-attempt statistics `(q, M)` of every entry and the retry term
+//! `E_retry` of every row, and the shared assembly adds
+//! `P(Z^i_k)·(M + q·(D + E_retry))`. Every [`ReplicatedEvaluator::evaluate`]
+//! is the first call of a fresh engine. A [`ReplicatedSweep`] keeps one
+//! engine across checkpoint sets, replica-set moves (which re-price the
+//! moved task's row) and tier moves (which also rerun the recovery passes
+//! that read the task's recovery cost), each call bit for bit equal to a
+//! fresh evaluation.
 //!
-//! On a **degenerate** platform (one reference processor) with every set
-//! `[0]` the evaluator delegates to [`crate::evaluator::evaluate`], so the
-//! homogeneous results are reproduced bit for bit; the non-delegated
-//! formulas agree with Equation (1) to floating-point accuracy (see the
-//! tests).
+//! On a **degenerate** assignment (one reference processor, every set
+//! `[0]`, unit storage tiers) the engine runs the exponential pricing of
+//! [`crate::evaluator::evaluate`], so the homogeneous results are
+//! reproduced bit for bit; the replica-group formulas agree with
+//! Equation (1) to floating-point accuracy (see the tests).
 
-use crate::evaluator::{self, recovery::RecoveryMatrices, EvalReport};
+use super::sweep::{tri, BlockPricing, ExpPricing, SweepEvaluator};
+use super::EvalReport;
 use crate::model::Workflow;
 use crate::schedule::Schedule;
-use dagchkpt_dag::NodeId;
-use dagchkpt_failure::{HeteroPlatform, StorageHierarchy};
-use std::borrow::Cow;
-use std::collections::HashMap;
-use std::sync::RwLock;
+use dagchkpt_dag::{FixedBitSet, NodeId};
+use dagchkpt_failure::{HeteroPlatform, Processor, StorageHierarchy};
 
 /// Replication degrees above this are rejected at scenario validation: the
 /// exact failed-attempt closed form enumerates `2^r` inclusion–exclusion
@@ -136,8 +134,13 @@ fn attempt_stats(reps: &mut [Replica]) -> (f64, f64) {
     // and a total order keeps the sort deterministic (and panic-free)
     // even if a rogue NaN ever reaches it.
     reps.sort_by(|a, b| a.d.total_cmp(&b.d));
-    let surv: Vec<f64> = reps.iter().map(|r| (-r.lambda * r.d).exp()).collect();
-    let fail: Vec<f64> = reps.iter().map(|r| -(-r.lambda * r.d).exp_m1()).collect();
+    // Stack scratch: the assert above bounds the group size.
+    let (mut surv, mut fail) = ([0.0f64; 32], [0.0f64; 32]);
+    for (p, r) in reps.iter().enumerate() {
+        surv[p] = (-r.lambda * r.d).exp();
+        fail[p] = -(-r.lambda * r.d).exp_m1();
+    }
+    let (surv, fail) = (&surv[..reps.len()], &fail[..reps.len()]);
     let q: f64 = fail.iter().product();
 
     // N_s = Σ_p d_p · surv_p · Π_{p' ≺ p} fail_{p'}.
@@ -231,47 +234,148 @@ pub fn replica_rank_count<S: AsRef<[usize]>>(sets: &[S]) -> usize {
         .map_or(1, |m| m + 1)
 }
 
-/// Cached per-attempt statistics, filled lazily: the property-A
-/// pool-order group-failure product (`O(r)`, needed for every `(j, k)`
-/// pair), and the sorted-order `(q, M)` pair of the assembly (the `2^r`
-/// inclusion–exclusion, needed only where `P(Z^i_k) > 0`). The two `q`s
-/// are the same probability accumulated in different floating-point
-/// orders; both are kept so the memoized evaluator reproduces the
-/// uncached arithmetic bit for bit.
-#[derive(Debug, Clone, Copy)]
-struct AttemptEntry {
-    q_pool: f64,
-    /// Sorted-order `(q, M)` — `None` until some assembly needs it.
-    full: Option<(f64, f64)>,
+/// The replica-group pricing of a Theorem-3 block (see the module docs):
+/// per entry `(i, k)` the pool-order survival `1 − q` of property A and the
+/// sorted-order first-attempt statistics `(q, M)`, per row the retry
+/// attempts' `(q_b, E_retry)`. The two `q`s are the same probability
+/// accumulated in different floating-point orders; both are kept so every
+/// path reproduces one arithmetic bit for bit.
+pub(crate) struct ReplicaPricing<'a> {
+    procs: &'a [Processor],
+    downtime: f64,
+    /// Per position (1-based, index 0 unused): work, checkpoint cost, the
+    /// write factor of the task's tier, and its replica set.
+    w: Vec<f64>,
+    c: Vec<f64>,
+    write_factor: Vec<f64>,
+    sets: Vec<Vec<usize>>,
+    /// `1 − q` in pool order for `k < i < n`.
+    survival: Vec<f64>,
+    /// `(q, M)` of the first attempt for `k < i`.
+    stats: Vec<(f64, f64)>,
+    /// `(q_b, E_retry)` per row: retries always pay the full closure.
+    retry: Vec<(f64, f64)>,
+    /// Scratch replica views of one attempt.
+    reps: Vec<Replica>,
 }
 
-/// Cache key: the attempt content's exact bit patterns. Given a fixed
-/// platform and replica assignment, `(task, checkpointed?, rework,
-/// recovery)` fully determines every replica duration, hence the entry.
-type AttemptKey = (u32, bool, u64, u64);
+impl ReplicaPricing<'_> {
+    /// Fills `reps` with the replica views of position `i`'s block with
+    /// rework `wk`, recovery `rk` and (iff `ckpt`) the task's checkpoint
+    /// write.
+    fn group(&mut self, i: usize, ckpt: bool, (wk, rk): (f64, f64)) {
+        let w = self.w[i];
+        let write = if ckpt { self.c[i] } else { 0.0 };
+        // The tier's write factor composes multiplicatively with the
+        // per-processor bandwidth factor; without a hierarchy it is
+        // exactly 1.0, which IEEE multiplication leaves bit-identical.
+        // Recovery reads need no factor here — `rk` sums storage-priced
+        // recovery costs.
+        let w_fac = self.write_factor[i];
+        let procs = self.procs;
+        self.reps.clear();
+        self.reps.extend(self.sets[i].iter().map(|&p| {
+            let p = &procs[p];
+            Replica {
+                lambda: p.lambda,
+                d: (wk + w) / p.speed + rk / p.read_bw + write * w_fac / p.write_bw,
+            }
+        }));
+    }
+}
 
-/// Replication-aware Theorem-3 evaluator over per-task **replica sets**,
-/// with transparent memoization of per-attempt statistics (see the module
-/// docs). Construct once per (platform × assignment), then evaluate many
-/// candidate schedules — a checkpoint-budget sweep or a local search hits
-/// the cache for every block a candidate did not change.
+impl BlockPricing for ReplicaPricing<'_> {
+    /// `(W^i_k, R^i_k)`: replicas scale rework by speed and recovery by
+    /// read bandwidth, so the two stay apart.
+    type Lost = (f64, f64);
+
+    fn lost(w: f64, r: f64) -> (f64, f64) {
+        (w, r)
+    }
+
+    fn differ(a: (f64, f64), b: (f64, f64)) -> bool {
+        a.0.to_bits() != b.0.to_bits() || a.1.to_bits() != b.1.to_bits()
+    }
+
+    fn price_row(&mut self, i: usize, ckpt: bool, row: &[(f64, f64)]) {
+        self.price_diagonal(i, ckpt, row);
+        for k in 0..i {
+            self.price_entry(i, k, ckpt, row, true);
+        }
+    }
+
+    fn price_diagonal(&mut self, i: usize, ckpt: bool, row: &[(f64, f64)]) {
+        self.group(i, ckpt, row[i]);
+        let (q_b, mean_b) = attempt_stats(&mut self.reps);
+        let e_retry = if q_b >= 1.0 {
+            f64::INFINITY
+        } else {
+            (mean_b + q_b * self.downtime) / (1.0 - q_b)
+        };
+        self.retry[i] = (q_b, e_retry);
+    }
+
+    fn price_entry(&mut self, i: usize, k: usize, ckpt: bool, row: &[(f64, f64)], _: bool) {
+        self.group(i, ckpt, row[k]);
+        // Pool-order product before `attempt_stats` sorts the replicas;
+        // row n feeds no later row.
+        if i + 1 < self.w.len() {
+            self.survival[tri(i, k)] = 1.0 - group_fail_prob(&self.reps);
+        }
+        self.stats[tri(i, k)] = attempt_stats(&mut self.reps);
+    }
+
+    #[inline]
+    fn survival(&self, idx: usize) -> f64 {
+        self.survival[idx]
+    }
+
+    /// `E[X_i | Z^i_k] = M(a) + q_a·(D + E_retry)`; group failures
+    /// (memory wipes) `q_a / (1 − q_b)`.
+    #[inline]
+    fn block(&self, i: usize, idx: usize, p: f64) -> (f64, f64) {
+        let (q_b, e_retry) = self.retry[i];
+        let (q_a, mean_a) = self.stats[idx];
+        let wipes = if q_b >= 1.0 {
+            if q_a > 0.0 {
+                f64::INFINITY
+            } else {
+                0.0
+            }
+        } else {
+            q_a / (1.0 - q_b)
+        };
+        (p * (mean_a + q_a * (self.downtime + e_retry)), p * wipes)
+    }
+}
+
+/// The stateful engine behind a replicated evaluation: the paper's machine
+/// on a degenerate assignment (bit for bit the homogeneous evaluator), the
+/// replica-group pricing otherwise.
+pub(crate) enum Engine<'a> {
+    Machine(SweepEvaluator<'a>),
+    Groups(SweepEvaluator<'a, ReplicaPricing<'a>>),
+}
+
+impl Engine<'_> {
+    pub(crate) fn evaluate(&mut self, ckpt: &FixedBitSet) -> EvalReport {
+        match self {
+            Engine::Machine(ev) => ev.evaluate(ckpt),
+            Engine::Groups(ev) => ev.evaluate(ckpt),
+        }
+    }
+}
+
+/// Replication-aware Theorem-3 evaluator over per-task **replica sets**
+/// (see the module docs). Construct once per (platform × assignment), then
+/// evaluate candidate schedules: as an [`crate::Objective`] it prices each
+/// sweep run on one engine, and [`Self::sweep`] keeps one engine across
+/// replica-set and tier moves.
 pub struct ReplicatedEvaluator<'a> {
-    /// The workflow with *storage-priced* recovery costs: borrowed and
-    /// untouched without a hierarchy; an owned copy with each task's
-    /// recovery cost scaled by its tier's read factor once
-    /// [`Self::with_storage`] attaches one. Recovery reads are priced at
-    /// the tier the checkpoint was **written** to (per-source), which is
-    /// exactly what a cost-scaled workflow expresses — and what keeps
-    /// this evaluator consistent with the Monte-Carlo engines simulating
-    /// [`Workflow::with_scaled_costs`] copies.
-    wf: Cow<'a, Workflow>,
-    /// The unscaled original (tier mutations re-derive from it).
-    base: &'a Workflow,
+    wf: &'a Workflow,
     platform: &'a HeteroPlatform,
     sets: Vec<Vec<usize>>,
     storage: Option<StorageAssignment<'a>>,
-    memo: RwLock<HashMap<AttemptKey, AttemptEntry>>,
-    memoize: bool,
 }
 
 /// A checkpoint storage hierarchy plus the per-task tier each task writes
@@ -289,16 +393,13 @@ impl<'a> ReplicatedEvaluator<'a> {
         assert_eq!(sets.len(), wf.n_tasks(), "one replica set per task");
         let n_procs = platform.n_procs();
         ReplicatedEvaluator {
-            wf: Cow::Borrowed(wf),
-            base: wf,
+            wf,
             platform,
             sets: sets
                 .iter()
                 .map(|s| normalize_replica_set(s, n_procs))
                 .collect(),
             storage: None,
-            memo: RwLock::new(HashMap::new()),
-            memoize: true,
         }
     }
 
@@ -306,14 +407,6 @@ impl<'a> ReplicatedEvaluator<'a> {
     /// `degrees` (the [`crate::ReplicationStrategy`] shape).
     pub fn from_degrees(wf: &'a Workflow, platform: &'a HeteroPlatform, degrees: &[usize]) -> Self {
         Self::from_sets(wf, platform, &prefix_sets(degrees, platform.n_procs()))
-    }
-
-    /// Disables (or re-enables) the attempt-statistics cache — the "naive
-    /// full recompute" baseline of the memoized evaluation. Results are
-    /// bit-identical either way.
-    pub fn with_memoization(mut self, memoize: bool) -> Self {
-        self.memoize = memoize;
-        self
     }
 
     /// The normalized per-task replica sets.
@@ -332,20 +425,15 @@ impl<'a> ReplicatedEvaluator<'a> {
     /// that tier's write factor (including replica-write contention) and
     /// every later recovery *read of that checkpoint* at its read factor
     /// (per-source pricing — the image is read back from the tier it was
-    /// written to). Tier indices are clamped into the hierarchy. A unit
-    /// hierarchy scales every cost by exactly `1.0`, so results stay
-    /// bit-identical to the scalar cost model.
+    /// written to, exactly what the Monte-Carlo engines simulate on
+    /// [`Workflow::with_scaled_costs`] copies). Tier indices are clamped
+    /// into the hierarchy. A unit hierarchy scales every cost by exactly
+    /// `1.0`, so results stay bit-identical to the scalar cost model.
     pub fn with_storage(mut self, hierarchy: &'a StorageHierarchy, tiers: &[usize]) -> Self {
         assert_eq!(tiers.len(), self.wf.n_tasks(), "one storage tier per task");
         let cap = hierarchy.n_tiers() - 1;
-        let tiers: Vec<usize> = tiers.iter().map(|&t| t.min(cap)).collect();
-        let n = self.base.n_tasks();
-        let rec_scale: Vec<f64> = (0..n)
-            .map(|t| hierarchy.tiers()[tiers[t]].read_factor())
-            .collect();
-        self.wf = Cow::Owned(self.base.with_scaled_costs(&vec![1.0; n], &rec_scale));
+        let tiers = tiers.iter().map(|&t| t.min(cap)).collect();
         self.storage = Some(StorageAssignment { hierarchy, tiers });
-        self.memo.write().expect("memo lock").clear();
         self
     }
 
@@ -359,42 +447,25 @@ impl<'a> ReplicatedEvaluator<'a> {
         self.storage.as_ref().map(|s| s.hierarchy)
     }
 
-    /// Moves task `t`'s checkpoint to `tier`, dropping the task's stale
-    /// cache entries — the storage analogue of [`Self::set_replicas`].
+    /// Moves task `t`'s checkpoint to `tier` — the storage analogue of
+    /// [`Self::set_replicas`].
     ///
     /// # Panics
     ///
     /// If no hierarchy is attached ([`Self::with_storage`]) or `tier` is
     /// out of range.
     pub fn set_tier(&mut self, task: usize, tier: usize) {
-        let read_factor = {
-            let s = self
-                .storage
-                .as_mut()
-                .expect("set_tier requires with_storage");
-            assert!(tier < s.hierarchy.n_tiers(), "tier {tier} out of range");
-            s.tiers[task] = tier;
-            s.hierarchy.tiers()[tier].read_factor()
-        };
-        let id = NodeId::from(task);
-        let cost = self.base.recovery_cost(id) * read_factor;
-        self.wf.to_mut().set_recovery_cost(id, cost);
-        // Stale entries of *other* tasks whose recovery plan reads this
-        // checkpoint are keyed by their old recovery-content bits, so
-        // they can never be matched again — only this task's entries
-        // (whose values depend on its write cost and factors beyond the
-        // key) must be dropped explicitly, exactly as in `set_replicas`.
-        let t = task as u32;
-        self.memo
-            .write()
-            .expect("memo lock")
-            .retain(|k, _| k.0 != t);
+        let s = self
+            .storage
+            .as_mut()
+            .expect("set_tier requires with_storage");
+        assert!(tier < s.hierarchy.n_tiers(), "tier {tier} out of range");
+        s.tiers[task] = tier;
     }
 
     /// Write-cost multiplier of task `t`'s assigned tier (`1.0` without a
     /// hierarchy), including the contention of `t`'s replica-set size
-    /// writing concurrently. The *read* factor never appears here: it is
-    /// baked into the owned workflow's recovery costs per-source.
+    /// writing concurrently.
     fn write_factor(&self, t: usize) -> f64 {
         match &self.storage {
             None => 1.0,
@@ -402,28 +473,31 @@ impl<'a> ReplicatedEvaluator<'a> {
         }
     }
 
-    /// Replaces task `t`'s replica set (normalized), keeping the cache:
-    /// entries are keyed by task id, and stale keys of the changed task
-    /// can never collide with the new set's contents only by also having
-    /// identical durations — so they are dropped explicitly.
+    /// Task `t`'s recovery cost, priced at the read factor of the tier its
+    /// checkpoint was written to.
+    fn recovery_cost(&self, t: usize) -> f64 {
+        let r = self.wf.recovery_cost(NodeId::from(t));
+        match &self.storage {
+            None => r,
+            Some(s) => r * s.hierarchy.tiers()[s.tiers[t]].read_factor(),
+        }
+    }
+
+    /// Replaces task `t`'s replica set (normalized).
     pub fn set_replicas(&mut self, task: usize, set: &[usize]) {
         self.sets[task] = normalize_replica_set(set, self.platform.n_procs());
-        let t = task as u32;
-        self.memo
-            .write()
-            .expect("memo lock")
-            .retain(|k, _| k.0 != t);
     }
 
-    /// Number of cached attempt entries (bench/test introspection).
+    /// Always 0: evaluations keep no attempt-statistics cache. Kept for
+    /// callers that still report it.
     pub fn cached_entries(&self) -> usize {
-        self.memo.read().expect("memo lock").len()
+        0
     }
 
-    /// `true` when this evaluator delegates to the homogeneous evaluator
-    /// outright (single reference processor, every set `[0]`, and any
-    /// attached storage tier the identity — a non-unit tier must run the
-    /// group recursion to price its factors).
+    /// `true` when the assignment is the paper's machine (single reference
+    /// processor, every set `[0]`, and any attached storage tier the
+    /// identity — a non-unit tier must run the group pricing to price its
+    /// factors).
     fn is_degenerate(&self) -> bool {
         self.platform.is_degenerate()
             && self.sets.iter().all(|s| s == &[0])
@@ -433,92 +507,53 @@ impl<'a> ReplicatedEvaluator<'a> {
                 .is_none_or(|s| s.tiers.iter().all(|&t| s.hierarchy.tiers()[t].is_unit()))
     }
 
-    /// Replica views of task `t`'s block with rework `wk`, recovery `rk`
-    /// and (iff `ckpt`) the task's checkpoint write. The write duration is
-    /// derived here — not passed in — so the memo key `(t, ckpt, wk, rk)`
-    /// always uniquely determines every replica duration.
-    fn replicas(&self, t: usize, ckpt: bool, wk: f64, rk: f64) -> Vec<Replica> {
-        let id = dagchkpt_dag::NodeId::from(t);
-        let w = self.wf.work(id);
-        let write = if ckpt {
-            self.wf.checkpoint_cost(id)
-        } else {
-            0.0
+    /// A fresh engine for the linearization `order` under the current
+    /// assignment.
+    pub(crate) fn engine<'o>(&self, order: &'o [NodeId]) -> Engine<'o>
+    where
+        'a: 'o,
+    {
+        let rec = (0..self.wf.n_tasks())
+            .map(|t| self.recovery_cost(t))
+            .collect();
+        if self.is_degenerate() {
+            let pricing = ExpPricing::new(self.wf, self.platform.fault_model(), order);
+            return Engine::Machine(SweepEvaluator::with_pricing(self.wf, order, rec, pricing));
+        }
+        let n = order.len();
+        let cells = tri(n + 1, 0);
+        let mut pricing = ReplicaPricing {
+            procs: self.platform.procs(),
+            downtime: self.platform.downtime(),
+            w: vec![0.0; n + 1],
+            c: vec![0.0; n + 1],
+            write_factor: vec![0.0; n + 1],
+            sets: vec![Vec::new(); n + 1],
+            survival: vec![0.0; cells],
+            stats: vec![(0.0, 0.0); cells],
+            retry: vec![(0.0, 0.0); n + 1],
+            reps: Vec::new(),
         };
-        let procs = self.platform.procs();
-        // The tier's write factor composes multiplicatively with the
-        // per-processor bandwidth factor; without a hierarchy it is
-        // exactly 1.0, which IEEE multiplication leaves bit-identical.
-        // Recovery reads need no factor here — `rk` comes from the
-        // storage-priced workflow's recovery costs.
-        let w_fac = self.write_factor(t);
-        self.sets[t]
-            .iter()
-            .map(|&p| {
-                let p = &procs[p];
-                Replica {
-                    lambda: p.lambda,
-                    d: (wk + w) / p.speed + rk / p.read_bw + write * w_fac / p.write_bw,
-                }
-            })
-            .collect()
+        for (idx, &t) in order.iter().enumerate() {
+            let i = idx + 1;
+            pricing.w[i] = self.wf.work(t);
+            pricing.c[i] = self.wf.checkpoint_cost(t);
+            pricing.write_factor[i] = self.write_factor(t.index());
+            pricing.sets[i] = self.sets[t.index()].clone();
+        }
+        Engine::Groups(SweepEvaluator::with_pricing(self.wf, order, rec, pricing))
     }
 
-    /// The pool-order group-failure probability of task `t`'s block with
-    /// content `(ckpt, wk, rk)` — the property-A factor. `O(r)`; never
-    /// triggers the `2^r` closed form.
-    fn q_pool(&self, t: usize, ckpt: bool, wk: f64, rk: f64) -> f64 {
-        let key: AttemptKey = (t as u32, ckpt, wk.to_bits(), rk.to_bits());
-        if self.memoize {
-            if let Some(e) = self.memo.read().expect("memo lock").get(&key) {
-                return e.q_pool;
-            }
+    /// A stateful evaluator over the linearization `order` that keeps one
+    /// engine across checkpoint sets and the replica-set and tier moves
+    /// made through it (which update this evaluator too).
+    pub fn sweep<'e>(&'e mut self, order: &'e [NodeId]) -> ReplicatedSweep<'e, 'a> {
+        let engine = self.engine(order);
+        ReplicatedSweep {
+            ev: self,
+            order,
+            engine,
         }
-        let q_pool = group_fail_prob(&self.replicas(t, ckpt, wk, rk));
-        if self.memoize {
-            self.memo
-                .write()
-                .expect("memo lock")
-                .entry(key)
-                .or_insert(AttemptEntry { q_pool, full: None });
-        }
-        q_pool
-    }
-
-    /// The sorted-order `(q, M)` attempt statistics of task `t`'s block —
-    /// the `2^r` closed form, through the cache when memoization is on. On
-    /// a miss the value is computed by the exact same `attempt_stats` call
-    /// the uncached path makes — bit-identical.
-    fn full_stats(&self, t: usize, ckpt: bool, wk: f64, rk: f64) -> (f64, f64) {
-        let key: AttemptKey = (t as u32, ckpt, wk.to_bits(), rk.to_bits());
-        if self.memoize {
-            if let Some(e) = self.memo.read().expect("memo lock").get(&key) {
-                if let Some(full) = e.full {
-                    return full;
-                }
-            }
-        }
-        let mut reps = self.replicas(t, ckpt, wk, rk);
-        // Pool-order product before `attempt_stats` sorts the replicas —
-        // the two accumulation orders differ in their float rounding.
-        let q_pool = group_fail_prob(&reps);
-        let full = attempt_stats(&mut reps);
-        if self.memoize {
-            let mut memo = self.memo.write().expect("memo lock");
-            match memo.get_mut(&key) {
-                Some(e) => e.full = Some(full),
-                None => {
-                    memo.insert(
-                        key,
-                        AttemptEntry {
-                            q_pool,
-                            full: Some(full),
-                        },
-                    );
-                }
-            }
-        }
-        full
     }
 
     /// Expected makespan of `schedule` (see [`Self::evaluate`]).
@@ -531,106 +566,66 @@ impl<'a> ReplicatedEvaluator<'a> {
     /// failures** (memory wipes), the event the Monte-Carlo engines report
     /// as `n_faults`.
     pub fn evaluate(&self, schedule: &Schedule) -> EvalReport {
-        let wf = self.wf.as_ref();
-        let n = wf.n_tasks();
-        if self.is_degenerate() {
-            // Bit-for-bit reproduction of the homogeneous evaluator.
-            return evaluator::evaluate(wf, self.platform.fault_model(), schedule);
-        }
-        if n == 0 {
-            return EvalReport {
-                expected_makespan: 0.0,
-                per_position: Vec::new(),
-                expected_faults: 0.0,
-            };
-        }
+        self.engine(schedule.order())
+            .evaluate(schedule.checkpoints())
+    }
+}
 
-        let m = RecoveryMatrices::compute(wf, schedule);
-        let order = schedule.order();
-        let downtime = self.platform.downtime();
+/// A [`ReplicatedEvaluator`] held with one stateful engine over a fixed
+/// linearization ([`ReplicatedEvaluator::sweep`]). Every call returns the
+/// bits of a fresh [`ReplicatedEvaluator::evaluate`]: a replica-set move
+/// re-prices only the moved task's row, a tier move also reruns the
+/// recovery passes that read the task's recovery cost, and a move that
+/// enters or leaves the degenerate assignment switches to a fresh engine
+/// of the other pricing.
+pub struct ReplicatedSweep<'e, 'a> {
+    ev: &'e mut ReplicatedEvaluator<'a>,
+    order: &'e [NodeId],
+    engine: Engine<'e>,
+}
 
-        // Per-position views (1-based positions, index 0 unused).
-        let mut ckpt = vec![false; n + 1];
-        let mut task = vec![0usize; n + 1];
-        for (idx, &t) in order.iter().enumerate() {
-            let i = idx + 1;
-            ckpt[i] = schedule.is_checkpointed(t);
-            task[i] = t.index();
+impl<'a> ReplicatedSweep<'_, 'a> {
+    /// The evaluator, with every move made so far.
+    pub fn evaluator(&self) -> &ReplicatedEvaluator<'a> {
+        self.ev
+    }
+
+    /// Full evaluation report with the task-indexed checkpoint set `ckpt`.
+    pub fn evaluate(&mut self, ckpt: &FixedBitSet) -> EvalReport {
+        self.sync();
+        self.engine.evaluate(ckpt)
+    }
+
+    /// [`ReplicatedEvaluator::set_replicas`], re-pricing one row.
+    pub fn set_replicas(&mut self, task: usize, set: &[usize]) {
+        self.ev.set_replicas(task, set);
+        if let Engine::Groups(sweep) = &mut self.engine {
+            let (i, pricing) = sweep.reprice(task);
+            pricing.sets[i].clone_from(&self.ev.sets[task]);
+            pricing.write_factor[i] = self.ev.write_factor(task);
         }
+    }
 
-        // Block content of position `j` given the last wipe was in `k`
-        // (0 = no wipe yet): `(rework, recovery)`.
-        let content = |j: usize, k: usize| -> (f64, f64) {
-            if k == 0 {
-                (0.0, 0.0)
-            } else {
-                m.get(j, k)
+    /// [`ReplicatedEvaluator::set_tier`]: the task's row is re-priced and
+    /// the passes that read its recovery cost rerun.
+    pub fn set_tier(&mut self, task: usize, tier: usize) {
+        self.ev.set_tier(task, tier);
+        let cost = self.ev.recovery_cost(task);
+        match &mut self.engine {
+            Engine::Machine(sweep) => sweep.set_recovery(task, cost),
+            Engine::Groups(sweep) => {
+                let (i, pricing) = sweep.reprice(task);
+                pricing.write_factor[i] = self.ev.write_factor(task);
+                sweep.set_recovery(task, cost);
             }
-        };
-        // Property-A factor (O(r)) and assembly statistics (2^r closed
-        // form) of that block — split so the probability row never pays
-        // the inclusion–exclusion.
-        let q_pool_of = |j: usize, k: usize| -> f64 {
-            let (wk, rk) = content(j, k);
-            self.q_pool(task[j], ckpt[j], wk, rk)
-        };
-        let stats_of = |j: usize, k: usize| -> (f64, f64) {
-            let (wk, rk) = content(j, k);
-            self.full_stats(task[j], ckpt[j], wk, rk)
-        };
-
-        // Rolling row of P(Z^i_k), updated in place as i advances.
-        let mut pz = vec![0.0f64; n + 1];
-        let mut per_position = Vec::with_capacity(n);
-        let mut total = 0.0f64;
-        let mut faults = 0.0f64;
-
-        for i in 1..=n {
-            if i == 1 {
-                pz[0] = 1.0;
-            } else {
-                // Property A: survive block i−1 without a group failure.
-                let mut sum = 0.0f64;
-                for (k, p) in pz.iter_mut().enumerate().take(i - 1) {
-                    *p *= 1.0 - q_pool_of(i - 1, k);
-                    sum += *p;
-                }
-                pz[i - 1] = (1.0 - sum).clamp(0.0, 1.0);
-            }
-
-            // Retry attempts always pay the full-closure recovery `b`.
-            let (q_b, mean_b) = stats_of(i, i);
-            let e_retry = if q_b >= 1.0 {
-                f64::INFINITY
-            } else {
-                (mean_b + q_b * downtime) / (1.0 - q_b)
-            };
-
-            let mut exi = 0.0f64;
-            for (k, &p) in pz.iter().enumerate().take(i) {
-                if p == 0.0 {
-                    continue;
-                }
-                let (q_a, mean_a) = stats_of(i, k);
-                exi += p * (mean_a + q_a * (downtime + e_retry));
-                faults += p * if q_b >= 1.0 {
-                    if q_a > 0.0 {
-                        f64::INFINITY
-                    } else {
-                        0.0
-                    }
-                } else {
-                    q_a / (1.0 - q_b)
-                };
-            }
-            per_position.push(exi);
-            total += exi;
         }
+    }
 
-        EvalReport {
-            expected_makespan: total,
-            per_position,
-            expected_faults: faults,
+    /// Switches to a fresh engine of the other pricing when a move entered
+    /// or left the degenerate assignment.
+    fn sync(&mut self) {
+        if matches!(self.engine, Engine::Machine(_)) != self.ev.is_degenerate() {
+            self.engine = self.ev.engine(self.order);
         }
     }
 }
@@ -649,7 +644,7 @@ pub fn expected_makespan_replicated(
 
 /// Full replication-aware evaluation over explicit per-task replica
 /// `sets` (processor indices into `platform.procs()`) — the one-shot
-/// entry point ([`ReplicatedEvaluator`] is the amortized one).
+/// entry point ([`ReplicatedEvaluator::sweep`] is the amortized one).
 ///
 /// # Panics
 ///
@@ -668,6 +663,7 @@ pub fn evaluate_replicated_sets(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evaluator;
     use crate::model::{CostRule, TaskCosts};
     use crate::strategies::ReplicationStrategy;
     use dagchkpt_dag::{generators, topo, FixedBitSet, NodeId};
@@ -935,46 +931,6 @@ mod tests {
         }
     }
 
-    /// Memoized and naive evaluations are bit-identical, across many
-    /// candidate schedules sharing one cache — the correctness half of
-    /// what the perfbench `replicated.sweep_ms.n200` row times.
-    #[test]
-    fn memoized_evaluation_is_bit_identical_to_naive() {
-        let (wf, _) = fig1_schedule();
-        let order = topo::topological_order(wf.dag());
-        let platform = HeteroPlatform::new(
-            vec![
-                Processor {
-                    speed: 1.5,
-                    ..Processor::reference(5e-3)
-                },
-                Processor::reference(2e-3),
-            ],
-            0.5,
-        )
-        .unwrap();
-        let degrees = vec![2usize; 8];
-        let memo = ReplicatedEvaluator::from_degrees(&wf, &platform, &degrees);
-        let naive =
-            ReplicatedEvaluator::from_degrees(&wf, &platform, &degrees).with_memoization(false);
-        let base = Schedule::never(&wf, order).unwrap();
-        for n_ckpt in 0..=8usize {
-            let set = FixedBitSet::from_indices(8, 0..n_ckpt);
-            let s = base.with_checkpoints(set);
-            let a = memo.evaluate(&s);
-            let b = naive.evaluate(&s);
-            assert_eq!(
-                a.expected_makespan.to_bits(),
-                b.expected_makespan.to_bits(),
-                "budget {n_ckpt}"
-            );
-            assert_eq!(a.expected_faults.to_bits(), b.expected_faults.to_bits());
-        }
-        // The cache actually filled (and the naive one stayed empty).
-        assert!(memo.cached_entries() > 0);
-        assert_eq!(naive.cached_entries(), 0);
-    }
-
     /// A non-prefix replica set is a genuinely different (and sometimes
     /// better) choice: with a fast-but-flaky rank 0 and a reliable rank 1,
     /// selecting `[1]` alone can beat both the prefix `[0]` and the pair
@@ -1010,35 +966,6 @@ mod tests {
         assert_ne!(
             reliable_only.expected_makespan.to_bits(),
             both.expected_makespan.to_bits()
-        );
-    }
-
-    /// `set_replicas` invalidates only the changed task's cache entries and
-    /// subsequent evaluations match a fresh evaluator bit for bit.
-    #[test]
-    fn set_replicas_invalidates_cache_correctly() {
-        let (wf, s) = fig1_schedule();
-        let platform = HeteroPlatform::new(
-            vec![
-                Processor {
-                    speed: 2.0,
-                    ..Processor::reference(4e-3)
-                },
-                Processor::reference(1e-3),
-            ],
-            1.0,
-        )
-        .unwrap();
-        let mut ev = ReplicatedEvaluator::from_degrees(&wf, &platform, &[2; 8]);
-        let _ = ev.evaluate(&s);
-        ev.set_replicas(3, &[1]);
-        let via_mutation = ev.evaluate(&s);
-        let mut sets = vec![vec![0usize, 1]; 8];
-        sets[3] = vec![1];
-        let fresh = evaluate_replicated_sets(&wf, &platform, &s, &sets);
-        assert_eq!(
-            via_mutation.expected_makespan.to_bits(),
-            fresh.expected_makespan.to_bits()
         );
     }
 
@@ -1149,8 +1076,8 @@ mod tests {
     }
 
     /// Replica-write contention: the same tier prices a wider replica set
-    /// with a strictly larger write factor, and `set_tier` invalidates
-    /// the cache exactly like `set_replicas`.
+    /// with a strictly larger write factor, and evaluating after
+    /// `set_tier` matches an evaluator built on the new tiers.
     #[test]
     fn contention_and_set_tier_cache_invalidation() {
         use dagchkpt_failure::{StorageHierarchy, StorageTier};

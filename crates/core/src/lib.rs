@@ -9,8 +9,9 @@
 //!   cross-validation);
 //! * [`linearize`] — the DF/BF/RF linearization strategies;
 //! * [`objective`] — pluggable optimization backends ([`Objective`]): the
-//!   homogeneous proxy, the memoized replication-aware evaluator, or a
-//!   Monte-Carlo estimator (in `dagchkpt-sim`);
+//!   homogeneous proxy, the replication-aware evaluator (both priced on
+//!   one incremental Theorem-3 engine), or a Monte-Carlo estimator (in
+//!   `dagchkpt-sim`);
 //! * [`strategies`] — CkptNvr/CkptAlws/CkptW/CkptC/CkptD/CkptPer with the
 //!   objective-generic checkpoint-budget sweep and the joint coordinate
 //!   descent over per-task replica *sets* ([`joint_descent`]), plus the
@@ -34,7 +35,7 @@ pub mod strategies;
 
 pub use evaluator::replicated::{
     evaluate_replicated_sets, expected_makespan_replicated, normalize_replica_set, prefix_sets,
-    replica_rank_count, ReplicatedEvaluator, MAX_REPLICATION_DEGREE,
+    replica_rank_count, ReplicatedEvaluator, ReplicatedSweep, MAX_REPLICATION_DEGREE,
 };
 pub use evaluator::{evaluate, expected_makespan, EvalReport};
 pub use heuristics::{
@@ -43,7 +44,7 @@ pub use heuristics::{
 };
 pub use linearize::{linearize, linearize_with_priority, LinearizationStrategy, Priority};
 pub use model::{CostRule, ModelError, TaskCosts, Workflow};
-pub use objective::{CostSummary, Objective, ProxyObjective};
+pub use objective::{Objective, ProxyObjective};
 pub use schedule::Schedule;
 pub use strategies::{
     joint_descent, local_search_with, optimize_checkpoints, optimize_checkpoints_quantile,

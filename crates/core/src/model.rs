@@ -222,14 +222,6 @@ impl Workflow {
         }
     }
 
-    /// Overwrites one task's recovery cost in place — the incremental
-    /// counterpart of [`Workflow::with_scaled_costs`] used by the
-    /// storage-aware evaluator's tier mutations.
-    pub(crate) fn set_recovery_cost(&mut self, v: NodeId, cost: f64) {
-        debug_assert!(cost.is_finite() && cost >= 0.0);
-        self.recovery[v.index()] = cost;
-    }
-
     /// The underlying DAG.
     #[inline]
     pub fn dag(&self) -> &Dag {

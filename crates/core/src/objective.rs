@@ -9,9 +9,9 @@
 //! * [`ProxyObjective`] — the homogeneous analytic evaluator
 //!   ([`crate::evaluator::evaluate`]), the paper's single-machine view,
 //!   which prices sweep runs incrementally ([`SweepEvaluator`]);
-//! * [`ReplicatedEvaluator`] — the exact replication-aware evaluator with
-//!   memoized per-attempt statistics
-//!   ([`crate::evaluator::replicated`]), for heterogeneous platforms;
+//! * [`ReplicatedEvaluator`] — the exact replication-aware evaluator
+//!   ([`crate::evaluator::replicated`]) for heterogeneous platforms, which
+//!   prices sweep runs on the same incremental engine;
 //! * `McObjective` (in `dagchkpt-sim`) — a Monte-Carlo estimate, the
 //!   backend of last resort for semantics no closed form covers.
 //!
@@ -28,52 +28,6 @@ use crate::schedule::Schedule;
 use dagchkpt_dag::FixedBitSet;
 use dagchkpt_failure::FaultModel;
 
-/// A distribution summary of a schedule's cost: what a backend knows about
-/// the makespan beyond its mean.
-///
-/// Analytic backends (the Theorem-3 proxy, the exact replicated
-/// evaluator) compute expectations only and return
-/// [`CostSummary::mean_only`] — `NaN` variance and quantiles, zero
-/// trials, matching the all-`NaN` empty-statistics convention elsewhere.
-/// Sampling backends (`McObjective` in `dagchkpt-sim`) fill every field
-/// from the same trials that produced the mean.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostSummary {
-    /// Expected makespan — always present; bit-identical to
-    /// [`Objective::cost`] on the same schedule.
-    pub mean: f64,
-    /// Sample variance of the makespan (`NaN` for analytic backends).
-    pub variance: f64,
-    /// Median makespan estimate (`NaN` for analytic backends).
-    pub p50: f64,
-    /// 95th-percentile makespan estimate (`NaN` for analytic backends).
-    pub p95: f64,
-    /// 99th-percentile makespan estimate (`NaN` for analytic backends).
-    pub p99: f64,
-    /// Trials behind the estimates (0 for analytic backends).
-    pub trials: u64,
-}
-
-impl CostSummary {
-    /// The summary of a backend that only knows the expectation.
-    pub fn mean_only(mean: f64) -> Self {
-        CostSummary {
-            mean,
-            variance: f64::NAN,
-            p50: f64::NAN,
-            p95: f64::NAN,
-            p99: f64::NAN,
-            trials: 0,
-        }
-    }
-
-    /// Whether this summary carries no distribution information beyond
-    /// the mean (the analytic-backend shape).
-    pub fn is_mean_only(&self) -> bool {
-        self.trials == 0
-    }
-}
-
 /// A deterministic scalar cost over schedules — lower is better. `Sync`
 /// because sweeps evaluate candidate schedules in parallel.
 pub trait Objective: Sync {
@@ -83,15 +37,6 @@ pub trait Objective: Sync {
 
     /// Short backend label for reports (`proxy`, `replicated`, `mc`).
     fn label(&self) -> &'static str;
-
-    /// The full cost distribution summary. The default wraps [`cost`]
-    /// into a mean-only summary, so analytic backends stay bitwise
-    /// untouched; sampling backends override it to expose quantiles.
-    ///
-    /// [`cost`]: Objective::cost
-    fn cost_summary(&self, schedule: &Schedule) -> CostSummary {
-        CostSummary::mean_only(self.cost(schedule))
-    }
 
     /// The cost quantile a quantile-targeted sweep minimizes
     /// ([`crate::strategies::optimize_checkpoints_quantile`]). The
@@ -157,6 +102,14 @@ impl Objective for ReplicatedEvaluator<'_> {
     fn label(&self) -> &'static str {
         "replicated"
     }
+
+    /// One engine for the whole run, freed on return.
+    fn cost_run(&self, base: &Schedule, sets: &[FixedBitSet]) -> Vec<f64> {
+        let mut engine = self.engine(base.order());
+        sets.iter()
+            .map(|set| engine.evaluate(set).expected_makespan)
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -199,11 +152,11 @@ mod tests {
         assert_eq!(Objective::label(&ev), "replicated");
     }
 
-    /// The default `cost_summary`/`cost_quantile` wrap `cost` bitwise, so
-    /// analytic backends gain the distribution API without any numeric
-    /// change.
+    /// The default `cost_quantile` falls back to `cost` bitwise: analytic
+    /// backends have no distribution, so quantile optimization degenerates
+    /// to the mean, for any q.
     #[test]
-    fn default_summary_is_a_mean_only_wrapper_bitwise() {
+    fn default_quantile_is_the_mean_bitwise() {
         let wf = Workflow::with_cost_rule(
             generators::paper_figure1(),
             vec![10.0, 20.0, 5.0, 30.0, 8.0, 12.0, 25.0, 9.0],
@@ -212,14 +165,6 @@ mod tests {
         let model = FaultModel::new(2e-3, 1.0);
         let s = Schedule::always(&wf, topo::topological_order(wf.dag())).unwrap();
         let obj = ProxyObjective::new(&wf, model);
-        let summary = obj.cost_summary(&s);
-        assert_eq!(summary.mean.to_bits(), obj.cost(&s).to_bits());
-        assert!(summary.is_mean_only());
-        assert_eq!(summary.trials, 0);
-        assert!(summary.variance.is_nan());
-        assert!(summary.p50.is_nan() && summary.p95.is_nan() && summary.p99.is_nan());
-        // Quantile optimization degenerates to the mean on analytic
-        // backends, for any q.
         for q in [0.5, 0.95, 0.99] {
             assert_eq!(obj.cost_quantile(&s, q).to_bits(), obj.cost(&s).to_bits());
         }

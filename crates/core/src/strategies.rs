@@ -23,7 +23,7 @@
 //! backend** ([`crate::objective::Objective`]): [`optimize_checkpoints`]
 //! is the paper's proxy-model entry point, [`optimize_checkpoints_with`]
 //! and [`local_search_with`] run against any objective — notably the
-//! memoized replication-aware evaluator
+//! replication-aware evaluator
 //! ([`crate::evaluator::replicated::ReplicatedEvaluator`]), which makes
 //! the sweep *replication-aware* instead of optimizing under the
 //! single-machine proxy and merely re-scoring afterwards.
@@ -37,7 +37,7 @@
 //! started from static replication degrees.
 
 use crate::evaluator::replicated::{
-    normalize_replica_set, ReplicatedEvaluator, MAX_REPLICATION_DEGREE,
+    normalize_replica_set, ReplicatedEvaluator, ReplicatedSweep, MAX_REPLICATION_DEGREE,
 };
 use crate::model::Workflow;
 use crate::objective::{Objective, ProxyObjective};
@@ -723,35 +723,31 @@ pub struct JointSchedule {
     pub rounds: usize,
 }
 
-/// One coordinate pass of per-task replica **selection** over an existing
-/// evaluator: re-assigns each task, in id order, the candidate set
-/// minimizing the exact replicated expected makespan of `schedule`.
-/// `best_e` must hold the expected makespan of `schedule` under `ev`'s
-/// current sets; returns whether any task moved. Never worse than the
-/// starting assignment.
-///
-/// Each candidate evaluation is a full Theorem-3 recursion, but the
-/// evaluator's memoized attempt statistics make the unchanged tasks'
-/// blocks cache hits — and callers iterating passes (notably
-/// [`joint_descent`]) keep that cache warm across passes and stages.
-fn select_replicas_pass(
-    ev: &mut ReplicatedEvaluator,
-    schedule: &Schedule,
-    candidates: &[Vec<usize>],
+/// One coordinate pass over the tasks in id order on `sweep`'s one engine:
+/// each task takes the candidate minimizing the expected makespan with the
+/// checkpoint set `ckpt` (`current` reads a task's choice, `apply` moves
+/// it). `best_e` must hold that makespan under the current assignment;
+/// returns whether any task moved. Never worse than the starting
+/// assignment.
+fn coordinate_pass<C: Clone + PartialEq>(
+    sweep: &mut ReplicatedSweep,
+    ckpt: &FixedBitSet,
+    candidates: &[C],
+    current: impl Fn(&ReplicatedEvaluator, usize) -> C,
+    apply: impl Fn(&mut ReplicatedSweep, usize, &C),
     best_e: &mut f64,
     evaluated: &mut usize,
 ) -> bool {
-    let n = ev.sets().len();
     let mut improved = false;
-    for t in 0..n {
-        let current = ev.sets()[t].clone();
-        let mut best_set = current.clone();
+    for t in 0..sweep.evaluator().sets().len() {
+        let current = current(sweep.evaluator(), t);
+        let mut best = current.clone();
         for cand in candidates {
-            if *cand == current || *cand == best_set {
+            if *cand == current || *cand == best {
                 continue;
             }
-            ev.set_replicas(t, cand);
-            let e = ev.expected_makespan(schedule);
+            apply(sweep, t, cand);
+            let e = sweep.evaluate(ckpt).expected_makespan;
             *evaluated += 1;
             // `best_e - tol` would be NaN when best_e is +∞ (an
             // assignment whose group-failure probability rounds to 1),
@@ -764,13 +760,27 @@ fn select_replicas_pass(
             };
             if improves {
                 *best_e = e;
-                best_set = cand.clone();
+                best = cand.clone();
                 improved = true;
             }
         }
-        ev.set_replicas(t, &best_set);
+        apply(sweep, t, &best);
     }
     improved
+}
+
+/// One [`coordinate_pass`] of per-task replica **selection** over the
+/// candidate sets: a set move re-prices only the moved task's row.
+fn select_replicas_pass(
+    sweep: &mut ReplicatedSweep,
+    ckpt: &FixedBitSet,
+    candidates: &[Vec<usize>],
+    best_e: &mut f64,
+    evaluated: &mut usize,
+) -> bool {
+    let current = |ev: &ReplicatedEvaluator, t: usize| ev.sets()[t].clone();
+    let apply = |sweep: &mut ReplicatedSweep, t, set: &Vec<usize>| sweep.set_replicas(t, set);
+    coordinate_pass(sweep, ckpt, candidates, current, apply, best_e, evaluated)
 }
 
 /// Joint optimization by coordinate descent, starting from `ev`'s replica
@@ -784,10 +794,9 @@ fn select_replicas_pass(
 ///
 /// Round 1's sweep *is* the replication-aware sweep on the starting
 /// assignment and every later move is accepted only on strict
-/// improvement, so the result is **never worse than that sweep**. One
-/// evaluator serves the whole descent: its attempt-statistics cache stays
-/// warm across coordinates and rounds (only the entries of tasks whose
-/// set or tier actually moves are invalidated).
+/// improvement, so the result is **never worse than that sweep**. Each
+/// round prices the winning schedule and both passes on one
+/// [`ReplicatedSweep`].
 pub fn joint_descent(
     wf: &Workflow,
     mut ev: ReplicatedEvaluator,
@@ -809,11 +818,13 @@ pub fn joint_descent(
         evaluated += opt.evaluated;
         // One pass per coordinate per joint round; the outer loop
         // provides the iteration.
-        let mut e = ev.expected_makespan(&opt.schedule);
+        let ckpt = opt.schedule.checkpoints();
+        let mut sweep = ev.sweep(opt.schedule.order());
+        let mut e = sweep.evaluate(ckpt).expected_makespan;
         evaluated += 1;
-        select_replicas_pass(&mut ev, &opt.schedule, &candidates, &mut e, &mut evaluated);
+        select_replicas_pass(&mut sweep, ckpt, &candidates, &mut e, &mut evaluated);
         if let Some(h) = hierarchy {
-            select_tiers_pass(&mut ev, &opt.schedule, h.n_tiers(), &mut e, &mut evaluated);
+            select_tiers_pass(&mut sweep, ckpt, h.n_tiers(), &mut e, &mut evaluated);
         }
         let tol = 1e-12 * e.abs().max(1.0);
         let better = best.as_ref().is_none_or(|b| e < b.expected_makespan - tol);
@@ -925,53 +936,31 @@ pub fn storage_scales(
 }
 
 /// One coordinate pass of per-task **tier** selection — the storage
-/// analogue of the replica-selection pass, over an evaluator carrying a
-/// storage hierarchy ([`ReplicatedEvaluator::with_storage`]). `best_e`
-/// must hold the expected makespan of `schedule` under `ev`'s current
-/// assignment; returns whether any task moved.
+/// analogue of the replica-selection pass — on a sweep whose evaluator
+/// carries a storage hierarchy ([`ReplicatedEvaluator::with_storage`]),
+/// with the checkpoint set `ckpt`. `best_e` must hold the expected
+/// makespan under the current assignment; returns whether any task moved.
+/// Every candidate is priced on the sweep's one engine.
 pub fn select_tiers_pass(
-    ev: &mut ReplicatedEvaluator,
-    schedule: &Schedule,
+    sweep: &mut ReplicatedSweep,
+    ckpt: &FixedBitSet,
     n_tiers: usize,
     best_e: &mut f64,
     evaluated: &mut usize,
 ) -> bool {
-    let tiers = ev.tiers().expect("select_tiers_pass requires storage");
-    let n = tiers.len();
-    let mut improved = false;
-    for t in 0..n {
-        let current = ev.tiers().expect("storage attached")[t];
-        let mut best_tier = current;
-        for cand in 0..n_tiers {
-            if cand == current || cand == best_tier {
-                continue;
-            }
-            ev.set_tier(t, cand);
-            let e = ev.expected_makespan(schedule);
-            *evaluated += 1;
-            // Same NaN-safe escape as replica selection: an infinite
-            // incumbent (`best_e - tol` would be NaN) is beaten by any
-            // finite candidate.
-            let improves = if best_e.is_finite() {
-                e < *best_e - 1e-12 * best_e.max(1.0)
-            } else {
-                e < *best_e
-            };
-            if improves {
-                *best_e = e;
-                best_tier = cand;
-                improved = true;
-            }
-        }
-        ev.set_tier(t, best_tier);
-    }
-    improved
+    let candidates: Vec<usize> = (0..n_tiers).collect();
+    let current = |ev: &ReplicatedEvaluator, t: usize| {
+        ev.tiers().expect("select_tiers_pass requires storage")[t]
+    };
+    let apply = |sweep: &mut ReplicatedSweep, t, &tier: &usize| sweep.set_tier(t, tier);
+    coordinate_pass(sweep, ckpt, &candidates, current, apply, best_e, evaluated)
 }
 
 /// Applies a [`StorageStrategy`] to `schedule` on an evaluator that
 /// already carries the storage hierarchy: returns the chosen per-task
 /// tiers, their expected makespan, and the number of evaluations. The
-/// evaluator is left on the chosen assignment.
+/// evaluator is left on the chosen assignment. Every candidate is priced
+/// on one [`ReplicatedSweep`].
 pub fn select_storage(
     ev: &mut ReplicatedEvaluator,
     schedule: &Schedule,
@@ -980,44 +969,50 @@ pub fn select_storage(
     max_rounds: usize,
 ) -> (Vec<usize>, f64, usize) {
     let n = ev.tiers().expect("select_storage requires storage").len();
+    let ckpt = schedule.checkpoints();
+    let mut sweep = ev.sweep(schedule.order());
     let mut evaluated = 0usize;
-    let set_uniform = |ev: &mut ReplicatedEvaluator, tier: usize| {
+    let set_uniform = |sweep: &mut ReplicatedSweep, tier: usize| {
         for t in 0..n {
-            ev.set_tier(t, tier);
+            sweep.set_tier(t, tier);
         }
     };
     let mut best_e = match strategy {
         StorageStrategy::Fixed { tier } => {
-            set_uniform(ev, tier.min(n_tiers - 1));
+            set_uniform(&mut sweep, tier.min(n_tiers - 1));
             evaluated += 1;
-            ev.expected_makespan(schedule)
+            sweep.evaluate(ckpt).expected_makespan
         }
         StorageStrategy::Best | StorageStrategy::PerTask => {
             // Uniform argmin via total_cmp: NaN orders above every real
             // value, so a poisoned tier can never win.
             let mut best: Option<(f64, usize)> = None;
             for tier in 0..n_tiers {
-                set_uniform(ev, tier);
-                let e = ev.expected_makespan(schedule);
+                set_uniform(&mut sweep, tier);
+                let e = sweep.evaluate(ckpt).expected_makespan;
                 evaluated += 1;
                 if best.is_none_or(|(be, _)| e.total_cmp(&be).is_lt()) {
                     best = Some((e, tier));
                 }
             }
             let (e, tier) = best.expect("a hierarchy has at least one tier");
-            set_uniform(ev, tier);
+            set_uniform(&mut sweep, tier);
             e
         }
     };
     if strategy == StorageStrategy::PerTask {
         for _ in 0..max_rounds.max(1) {
-            if !select_tiers_pass(ev, schedule, n_tiers, &mut best_e, &mut evaluated) {
+            if !select_tiers_pass(&mut sweep, ckpt, n_tiers, &mut best_e, &mut evaluated) {
                 break;
             }
         }
     }
     (
-        ev.tiers().expect("storage attached").to_vec(),
+        sweep
+            .evaluator()
+            .tiers()
+            .expect("storage attached")
+            .to_vec(),
         best_e,
         evaluated,
     )
@@ -1052,14 +1047,16 @@ mod tests {
     ) -> Result<(Vec<Vec<usize>>, f64, usize), ExhaustiveSelectionError> {
         let candidates = replica_candidates(platform, max_degree, selection)?;
         let mut ev = ReplicatedEvaluator::from_sets(wf, platform, init);
-        let mut best_e = ev.expected_makespan(schedule);
+        let ckpt = schedule.checkpoints();
+        let mut sweep = ev.sweep(schedule.order());
+        let mut best_e = sweep.evaluate(ckpt).expected_makespan;
         let mut evaluated = 1usize;
         for _ in 0..max_rounds {
-            if !select_replicas_pass(&mut ev, schedule, &candidates, &mut best_e, &mut evaluated) {
+            if !select_replicas_pass(&mut sweep, ckpt, &candidates, &mut best_e, &mut evaluated) {
                 break;
             }
         }
-        Ok((ev.sets().to_vec(), best_e, evaluated))
+        Ok((sweep.evaluator().sets().to_vec(), best_e, evaluated))
     }
 
     /// Write-fast/read-slow vs write-slow/read-fast two-tier hierarchy —

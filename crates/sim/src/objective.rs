@@ -17,7 +17,7 @@
 
 use crate::montecarlo::{run_trials_with, TrialSpec, TrialStats};
 use crate::replicated::run_replicated_sets_trials_with;
-use dagchkpt_core::{CostSummary, Objective, Schedule, Workflow};
+use dagchkpt_core::{Objective, Schedule, Workflow};
 use dagchkpt_failure::{ExponentialInjector, FaultModel, HeteroPlatform};
 
 /// Which platform the Monte-Carlo estimate runs on.
@@ -66,8 +66,7 @@ impl<'a> McObjective<'a> {
     }
 
     /// The seeded trial run behind every cost query — one code path, so
-    /// `cost`, `cost_summary` and `cost_quantile` all see the same trials
-    /// (and the mean stays bit-identical whichever is asked).
+    /// `cost` and `cost_quantile` see the same trials.
     fn trial_stats(&self, schedule: &Schedule) -> TrialStats {
         match &self.backend {
             Backend::Homogeneous { model } => {
@@ -94,18 +93,6 @@ impl Objective for McObjective<'_> {
 
     fn label(&self) -> &'static str {
         "mc"
-    }
-
-    fn cost_summary(&self, schedule: &Schedule) -> CostSummary {
-        let stats = self.trial_stats(schedule);
-        CostSummary {
-            mean: stats.makespan.mean(),
-            variance: stats.makespan.variance(),
-            p50: stats.tail.p50(),
-            p95: stats.tail.p95(),
-            p99: stats.tail.p99(),
-            trials: stats.tail.count(),
-        }
     }
 
     fn cost_quantile(&self, schedule: &Schedule, q: f64) -> f64 {
@@ -209,28 +196,29 @@ mod tests {
         assert!(rel < 0.02, "MC {mc} vs exact {exact} (rel {rel})");
     }
 
-    /// The summary's mean is the cost, bitwise — both run the same seeded
-    /// trials — and its quantiles come from the same run's tail sketch.
+    /// `cost` and `cost_quantile` read the very trials `run_trials_with`
+    /// runs: the mean and every tail quantile match it bitwise.
     #[test]
-    fn cost_summary_mean_is_cost_bitwise_and_carries_quantiles() {
+    fn cost_and_quantile_read_the_trials_of_run_trials_with() {
         let wf = wf();
         let model = FaultModel::new(5e-3, 1.0);
         let s = dagchkpt_core::Schedule::always(&wf, topo::topological_order(wf.dag())).unwrap();
-        let obj = McObjective::homogeneous(&wf, model, TrialSpec::new(4_000, 13));
-        let summary = obj.cost_summary(&s);
-        assert_eq!(summary.mean.to_bits(), obj.cost(&s).to_bits());
-        assert_eq!(summary.trials, 4_000);
-        assert!(!summary.is_mean_only());
-        assert!(summary.variance > 0.0);
-        // Heavy-tailed makespans: the quantile ladder is ordered and the
-        // p99 sits above the mean.
-        assert!(summary.p50 <= summary.p95 && summary.p95 <= summary.p99);
-        assert!(summary.p99 > summary.mean);
-        assert_eq!(
-            obj.cost_quantile(&s, 0.99).to_bits(),
-            summary.p99.to_bits(),
-            "cost_quantile must agree with the summary on the same trials"
-        );
+        let spec = TrialSpec::new(4_000, 13);
+        let obj = McObjective::homogeneous(&wf, model, spec);
+        let stats = run_trials_with(&wf, &s, model.downtime(), spec, |seed| {
+            ExponentialInjector::new(model.lambda(), seed)
+        });
+        assert_eq!(stats.tail.count(), 4_000);
+        assert_eq!(obj.cost(&s).to_bits(), stats.makespan.mean().to_bits());
+        for q in [0.5, 0.95, 0.99] {
+            assert_eq!(
+                obj.cost_quantile(&s, q).to_bits(),
+                stats.tail.quantile(q).to_bits(),
+                "q = {q}"
+            );
+        }
+        // Heavy-tailed makespans: the p99 sits above the mean.
+        assert!(obj.cost_quantile(&s, 0.99) > obj.cost(&s));
     }
 
     /// A quantile-targeted sweep against the MC backend runs end to end

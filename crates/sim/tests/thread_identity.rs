@@ -7,18 +7,23 @@
 //! metric fold `trial_metric_tail_stats` (through the replicated
 //! non-blocking runner), for ragged and zero trial counts,
 //! for the Theorem-3 cross-validation itself, and for the checkpoint
-//! optimizers, whose sweeps cut their candidates into a few contiguous
-//! runs per worker, each priced by one stateful evaluator. The vendored
+//! optimizers — proxy and replication-aware sweeps, local search, the
+//! joint descent and storage selection — whose sweeps cut their
+//! candidates into a few contiguous runs per worker, each priced by one
+//! stateful evaluator. The vendored
 //! executor reads the variable at every dispatch, so each run sees its own
 //! pool size; a mutex serializes the env mutation.
 
 use dagchkpt_core::{
-    expected_makespan, linearize, local_search_with, optimize_checkpoints, CheckpointStrategy,
-    CostRule, LinearizationStrategy, OptimizedSchedule, ProxyObjective, Schedule, SweepPolicy,
-    Workflow,
+    expected_makespan, linearize, local_search_with, optimize_checkpoints,
+    optimize_checkpoints_with, optimize_joint, select_storage, CheckpointStrategy, CostRule,
+    JointSchedule, LinearizationStrategy, OptimizedSchedule, ProxyObjective, ReplicatedEvaluator,
+    Schedule, StorageStrategy, SweepPolicy, Workflow,
 };
 use dagchkpt_dag::{generators, topo, FixedBitSet};
-use dagchkpt_failure::{ExponentialInjector, FaultModel, HeteroPlatform, Processor};
+use dagchkpt_failure::{
+    ExponentialInjector, FaultModel, HeteroPlatform, Processor, StorageHierarchy, StorageTier,
+};
 use dagchkpt_sim::montecarlo::{run_trials, run_trials_with, TrialSpec, TrialStats};
 use dagchkpt_sim::nonblocking::{run_nonblocking_trials_with, NonBlockingConfig};
 use dagchkpt_sim::quantile::QuantileSketch;
@@ -343,7 +348,7 @@ fn cybershake200() -> Workflow {
     PegasusKind::CyberShake.generate(200, CostRule::ProportionalToWork { ratio: 0.1 }, 42)
 }
 
-/// The budget sweep cuts its candidates into one run per worker; neither
+/// The budget sweep cuts its candidates into a few runs per worker; neither
 /// the winner nor its bits may depend on that split.
 #[test]
 fn checkpoint_sweeps_are_bit_identical_across_thread_counts() {
@@ -375,4 +380,87 @@ fn local_search_is_bit_identical_across_thread_counts() {
     let init = FixedBitSet::from_indices(wf.n_tasks(), (0..wf.n_tasks()).step_by(5));
     let [one, four] = under_thread_counts(|| local_search_with(&wf, &obj, &order, init.clone(), 6));
     assert_optimized_identical(&one, &four, "local search");
+}
+
+/// The replication-aware sweep prices each run of budgets on one
+/// replicated engine, so the split by worker count decides which
+/// candidates share an engine; the winner and its bits must not move.
+#[test]
+fn replication_aware_sweeps_are_bit_identical_across_thread_counts() {
+    let wf = cybershake200();
+    let platform = hetero2();
+    let order = linearize(&wf, LinearizationStrategy::DepthFirst);
+    let obj = ReplicatedEvaluator::from_degrees(&wf, &platform, &[2; 200]);
+    for strategy in [
+        CheckpointStrategy::Periodic,
+        CheckpointStrategy::ByDecreasingWork,
+    ] {
+        for policy in [SweepPolicy::Exhaustive, SweepPolicy::Strided { stride: 9 }] {
+            let [one, four] = under_thread_counts(|| {
+                optimize_checkpoints_with(&wf, &obj, &order, strategy, policy)
+            });
+            assert_optimized_identical(&one, &four, &format!("aware {strategy:?} {policy:?}"));
+        }
+    }
+}
+
+/// The joint descent: aware sweeps, then replica-set passes on one engine.
+#[test]
+fn joint_descent_is_bit_identical_across_thread_counts() {
+    let wf = cybershake200();
+    let platform = hetero2();
+    let order = linearize(&wf, LinearizationStrategy::DepthFirst);
+    let [one, four]: [JointSchedule; 2] = under_thread_counts(|| {
+        optimize_joint(
+            &wf,
+            &platform,
+            &order,
+            CheckpointStrategy::ByDecreasingWork,
+            SweepPolicy::Strided { stride: 9 },
+            &[1; 200],
+            3,
+        )
+    });
+    assert_eq!(one.schedule, four.schedule);
+    assert_eq!(one.replica_sets, four.replica_sets);
+    assert_eq!(
+        one.expected_makespan.to_bits(),
+        four.expected_makespan.to_bits()
+    );
+    assert_eq!(
+        (one.best_n, one.evaluated, one.rounds),
+        (four.best_n, four.evaluated, four.rounds)
+    );
+}
+
+/// Per-task storage selection: uniform tiers, then tier passes on one
+/// engine.
+#[test]
+fn storage_selection_is_bit_identical_across_thread_counts() {
+    let wf = cybershake200();
+    let platform = hetero2();
+    let order = linearize(&wf, LinearizationStrategy::DepthFirst);
+    let s = Schedule::new(
+        &wf,
+        order,
+        FixedBitSet::from_indices(200, (0..200).filter(|i| i % 4 == 1)),
+    )
+    .unwrap();
+    let tier = |name: &str, write_bw: f64, read_bw: f64| StorageTier {
+        name: name.to_string(),
+        write_bw,
+        read_bw,
+        compression: 1.0,
+        contention: 0.25,
+    };
+    let h =
+        StorageHierarchy::new(vec![tier("wfast", 4.0, 0.25), tier("rfast", 0.25, 4.0)]).unwrap();
+    let [one, four] = under_thread_counts(|| {
+        let mut ev = ReplicatedEvaluator::from_degrees(&wf, &platform, &[2; 200])
+            .with_storage(&h, &[0; 200]);
+        select_storage(&mut ev, &s, h.n_tiers(), StorageStrategy::PerTask, 2)
+    });
+    assert_eq!(one.0, four.0);
+    assert_eq!(one.1.to_bits(), four.1.to_bits());
+    assert_eq!(one.2, four.2);
 }

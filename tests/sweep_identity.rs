@@ -7,7 +7,10 @@
 //! sets), a repeated set, the empty and full sets, and unrelated random
 //! sets. The budget sweeps and local search, which price candidates through
 //! the evaluator, must equal the same optimizers run over a wrapper that
-//! only forwards `cost`.
+//! only forwards `cost`. The replica-group pricing is held to the same
+//! bits through a [`ReplicatedSweep`], with replica-set and storage-tier
+//! moves interleaved, including moves into and out of the degenerate
+//! assignment where the pricing switches.
 
 use dagchkpt::core::evaluator::literal::expected_makespan_literal;
 use dagchkpt::core::evaluator::SweepEvaluator;
@@ -15,9 +18,11 @@ use dagchkpt::core::strategies::{periodic_set, set_from_ranking};
 use dagchkpt::core::{
     evaluator, linearize, local_search_with, optimize_checkpoints, optimize_checkpoints_with,
     paper_heuristics, EvalReport, Objective, OptimizedSchedule, ProxyObjective,
+    ReplicatedEvaluator, ReplicatedSweep,
 };
 use dagchkpt::dag::generators;
 use dagchkpt::prelude::*;
+use dagchkpt_failure::{HeteroPlatform, Processor, StorageHierarchy, StorageTier};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -234,5 +239,173 @@ fn sweeps_match_the_stateless_objective_for_every_heuristic() {
             &local_search_with(wf, &stateless, &order, init, 8),
             &format!("{label} local search"),
         );
+    }
+}
+
+/// A three-processor pool with distinct speeds, bandwidths and failure
+/// rates (`scale` multiplies every rate), so replica durations and both
+/// group-failure orders differ between processors.
+fn pool(scale: f64) -> HeteroPlatform {
+    let proc = |speed: f64, lambda: f64, read_bw: f64, write_bw: f64| Processor {
+        speed,
+        read_bw,
+        write_bw,
+        ..Processor::reference(lambda * scale)
+    };
+    HeteroPlatform::new(
+        vec![
+            proc(2.0, 4e-3, 1.5, 0.75),
+            proc(1.0, 1e-3, 1.0, 1.0),
+            proc(0.5, 6e-3, 0.5, 2.0),
+        ],
+        1.0,
+    )
+    .unwrap()
+}
+
+/// Every non-empty subset of the 3-processor pool: prefixes and non-prefix
+/// sets alike.
+const SUBSETS: [&[usize]; 7] = [&[0], &[1], &[2], &[0, 1], &[0, 2], &[1, 2], &[0, 1, 2]];
+
+/// Unit tiers `local` and `scratch` around a non-unit `burst` tier with
+/// write contention, so a tier move can leave or keep the identity.
+fn tiers() -> StorageHierarchy {
+    StorageHierarchy::new(vec![
+        StorageTier::unit("local"),
+        StorageTier {
+            name: "burst".to_string(),
+            write_bw: 4.0,
+            read_bw: 0.5,
+            compression: 0.8,
+            contention: 0.3,
+        },
+        StorageTier::unit("scratch"),
+    ])
+    .unwrap()
+}
+
+/// What a step of [`check_replicated`] may change besides the checkpoint
+/// set.
+#[derive(Clone, Copy)]
+struct Moves {
+    replicas: bool,
+    tiers: bool,
+}
+
+/// Runs every checkpoint-set sequence through one [`ReplicatedSweep`] per
+/// sequence, making random replica-set and tier moves between (and, on
+/// repeated sets, instead of) set changes, and compares each step with a
+/// fresh evaluation under the evaluator's current assignment.
+fn check_replicated(
+    wf: &Workflow,
+    platform: &HeteroPlatform,
+    storage: Option<&StorageHierarchy>,
+    moves: Moves,
+    label: &str,
+    seed: u64,
+) {
+    let n = wf.n_tasks();
+    let order = linearize(wf, LinearizationStrategy::DepthFirst);
+    let base = Schedule::never(wf, order.clone()).unwrap();
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0xfeed);
+    let n_procs = platform.n_procs();
+    for (name, sets) in sequences(wf, &order, seed) {
+        let init: Vec<Vec<usize>> = (0..n)
+            .map(|_| SUBSETS[rng.gen_range(0..SUBSETS.len())].to_vec())
+            .collect();
+        let mut ev = ReplicatedEvaluator::from_sets(wf, platform, &init);
+        if let Some(h) = storage {
+            ev = ev.with_storage(h, &vec![0; n]);
+        }
+        let mut sweep = ev.sweep(&order);
+        for (step, set) in sets.iter().enumerate() {
+            let what = format!("{label} {name} step {step}");
+            for _ in 0..rng.gen_range(0..3usize) {
+                if n == 0 {
+                    break;
+                }
+                let t = rng.gen_range(0..n);
+                if moves.replicas && rng.gen_bool(0.5) {
+                    let pick = SUBSETS[rng.gen_range(0..SUBSETS.len())];
+                    let set: Vec<usize> = pick.iter().copied().filter(|&p| p < n_procs).collect();
+                    sweep.set_replicas(t, &set);
+                }
+                if let Some(h) = storage.filter(|_| moves.tiers) {
+                    sweep.set_tier(t, rng.gen_range(0..h.n_tiers()));
+                }
+            }
+            check_step(&mut sweep, &base.with_checkpoints(set.clone()), &what);
+        }
+    }
+}
+
+/// One step: the stateful answer against a fresh evaluation of the same
+/// assignment.
+fn check_step(sweep: &mut ReplicatedSweep, s: &Schedule, what: &str) {
+    let fresh = sweep.evaluator().evaluate(s);
+    assert_reports_identical(&sweep.evaluate(s.checkpoints()), &fresh, what);
+}
+
+#[test]
+fn replicated_sweep_is_bit_identical_under_set_moves() {
+    let both = Moves {
+        replicas: true,
+        tiers: true,
+    };
+    let sets_only = Moves {
+        replicas: true,
+        tiers: false,
+    };
+    for scale in [1.0, 25.0] {
+        for n in [0usize, 1, 2, 30] {
+            let wf = random_workflow(n as u64 + 5, n);
+            let platform = pool(scale);
+            let label = format!("layered n={n} x{scale}");
+            check_replicated(&wf, &platform, None, sets_only, &label, n as u64);
+            let h = tiers();
+            check_replicated(&wf, &platform, Some(&h), both, &format!("{label} tiers"), 3);
+        }
+    }
+    let rule = CostRule::ProportionalToWork { ratio: 0.1 };
+    let wf = PegasusKind::CyberShake.generate(40, rule, 9);
+    let h = tiers();
+    check_replicated(&wf, &pool(1.0), Some(&h), both, "CyberShake tiers", 9);
+}
+
+/// On the paper's single machine every set is `[0]`, so the assignment is
+/// degenerate exactly while every tier is a unit tier: tier moves enter
+/// and leave it, and each step must still equal a fresh evaluation (which
+/// switches between the exponential and the replica-group pricing).
+#[test]
+fn replicated_sweep_switches_pricing_at_the_degenerate_assignment() {
+    let platform = HeteroPlatform::homogeneous(1, 3e-3, 1.0).unwrap();
+    let h = tiers();
+    let tiers_only = Moves {
+        replicas: false,
+        tiers: true,
+    };
+    for n in [1usize, 2, 30] {
+        let wf = random_workflow(n as u64 + 17, n);
+        check_replicated(&wf, &platform, Some(&h), tiers_only, &format!("n={n}"), 4);
+    }
+
+    // A tier pass over a fixed schedule, the way storage selection runs it:
+    // one task at a time off the unit tier and back.
+    let wf = random_workflow(23, 30);
+    let order = linearize(&wf, LinearizationStrategy::DepthFirst);
+    let s = Schedule::new(
+        &wf,
+        order.clone(),
+        FixedBitSet::from_indices(30, (0..30).step_by(3)),
+    )
+    .unwrap();
+    let mut ev = ReplicatedEvaluator::from_sets(&wf, &platform, &vec![vec![0]; 30])
+        .with_storage(&h, &[0; 30]);
+    let mut sweep = ev.sweep(&order);
+    for t in 0..30 {
+        for tier in [1, 2, 0] {
+            sweep.set_tier(t, tier);
+            check_step(&mut sweep, &s, &format!("task {t} tier {tier}"));
+        }
     }
 }
