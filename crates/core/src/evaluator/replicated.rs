@@ -297,11 +297,9 @@ impl BlockPricing for ReplicaPricing<'_> {
         a.0.to_bits() != b.0.to_bits() || a.1.to_bits() != b.1.to_bits()
     }
 
-    fn price_row(&mut self, i: usize, ckpt: bool, row: &[(f64, f64)]) {
-        self.price_diagonal(i, ckpt, row);
-        for k in 0..i {
-            self.price_entry(i, k, ckpt, row, true);
-        }
+    fn allocate(&mut self, cells: usize) {
+        self.survival = vec![0.0; cells];
+        self.stats = vec![(0.0, 0.0); cells];
     }
 
     fn price_diagonal(&mut self, i: usize, ckpt: bool, row: &[(f64, f64)]) {
@@ -521,7 +519,6 @@ impl<'a> ReplicatedEvaluator<'a> {
             return Engine::Machine(SweepEvaluator::with_pricing(self.wf, order, rec, pricing));
         }
         let n = order.len();
-        let cells = tri(n + 1, 0);
         let mut pricing = ReplicaPricing {
             procs: self.platform.procs(),
             downtime: self.platform.downtime(),
@@ -529,8 +526,8 @@ impl<'a> ReplicatedEvaluator<'a> {
             c: vec![0.0; n + 1],
             write_factor: vec![0.0; n + 1],
             sets: vec![Vec::new(); n + 1],
-            survival: vec![0.0; cells],
-            stats: vec![(0.0, 0.0); cells],
+            survival: Vec::new(),
+            stats: Vec::new(),
             retry: vec![(0.0, 0.0); n + 1],
             reps: Vec::new(),
         };

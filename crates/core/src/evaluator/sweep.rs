@@ -66,9 +66,17 @@ pub trait BlockPricing {
         None
     }
 
+    /// Sizes the per-entry tables to `cells` entries (0 when fault-free).
+    fn allocate(&mut self, cells: usize);
+
     /// Re-prices every entry `k < i` of row `i` and whatever depends on
     /// its diagonal; `row[k]` is the entry `(i, k)`.
-    fn price_row(&mut self, i: usize, ckpt: bool, row: &[Self::Lost]);
+    fn price_row(&mut self, i: usize, ckpt: bool, row: &[Self::Lost]) {
+        self.price_diagonal(i, ckpt, row);
+        for k in 0..i {
+            self.price_entry(i, k, ckpt, row, true);
+        }
+    }
 
     /// Re-prices what depends on row `i`'s diagonal `row[i]`.
     fn price_diagonal(&mut self, i: usize, ckpt: bool, row: &[Self::Lost]);
@@ -120,20 +128,14 @@ impl ExpPricing {
             w[idx + 1] = wf.work(t);
             c[idx + 1] = wf.checkpoint_cost(t);
         }
-        // The fault-free limit needs no tables.
-        let cells = if model.lambda() == 0.0 {
-            0
-        } else {
-            tri(n + 1, 0)
-        };
         ExpPricing {
             model,
             time_scale: 1.0 / model.lambda() + model.downtime(),
             w,
             c,
-            decay: vec![0.0; cells],
-            growth: vec![0.0; cells],
-            retries: vec![0.0; cells],
+            decay: Vec::new(),
+            growth: Vec::new(),
+            retries: Vec::new(),
         }
     }
 
@@ -191,11 +193,10 @@ impl BlockPricing for ExpPricing {
         (self.model.lambda() == 0.0).then(|| self.w[i] + self.ckpt_cost(i, ckpt))
     }
 
-    fn price_row(&mut self, i: usize, ckpt: bool, row: &[f64]) {
-        for k in 0..i {
-            self.refresh_block(i, k, ckpt, row[k]);
-            self.refresh_growth(i, k, ckpt, row[k], row[i]);
-        }
+    fn allocate(&mut self, cells: usize) {
+        self.decay = vec![0.0; cells];
+        self.growth = vec![0.0; cells];
+        self.retries = vec![0.0; cells];
     }
 
     /// A changed diagonal moves every `rec` of the row but no block length,
@@ -240,7 +241,6 @@ impl BlockPricing for ExpPricing {
 pub struct SweepEvaluator<'a, P: BlockPricing = ExpPricing> {
     order: &'a [NodeId],
     passes: RecoveryPasses<'a>,
-    pricing: P,
     /// Checkpoint bit per position of the last evaluated set.
     ckpt: Vec<bool>,
     evaluated: bool,
@@ -250,6 +250,7 @@ pub struct SweepEvaluator<'a, P: BlockPricing = ExpPricing> {
     // Lower-triangular tables (see [`tri`]); entry `(i, k)`:
     /// `(W^i_k, R^i_k)` for `k ≥ 1`; column 0 stays empty (no fault yet).
     lost: Vec<P::Lost>,
+    pricing: P,
     /// `P(Z^i_k)` for `k < i`.
     pz: Vec<f64>,
     per_position: Vec<f64>,
@@ -274,10 +275,11 @@ impl<'a> SweepEvaluator<'a> {
     /// `order` must be a valid linearization (as in a
     /// [`Schedule`](crate::schedule::Schedule)).
     pub fn new(wf: &'a Workflow, model: FaultModel, order: &'a [NodeId]) -> Self {
+        let pricing = ExpPricing::new(wf, model, order);
         let rec = (0..wf.n_tasks())
             .map(|t| wf.recovery_cost(NodeId::from(t)))
             .collect();
-        SweepEvaluator::with_pricing(wf, order, rec, ExpPricing::new(wf, model, order))
+        SweepEvaluator::with_pricing(wf, order, rec, pricing)
     }
 }
 
@@ -288,28 +290,36 @@ impl<'a, P: BlockPricing> SweepEvaluator<'a, P> {
         wf: &'a Workflow,
         order: &'a [NodeId],
         rec: Vec<f64>,
-        pricing: P,
+        mut pricing: P,
     ) -> Self {
         let n = wf.n_tasks();
         assert_eq!(order.len(), n, "the order must list every task once");
+        let passes = RecoveryPasses::new(wf, order, rec);
+        let ckpt = vec![false; n + 1];
         // A fault-free pricing needs no tables (ask its first block).
         let cells = if n > 0 && pricing.fault_free(1, false).is_some() {
             0
         } else {
             tri(n + 1, 0)
         };
+        // Tables are allocated (and, by field order, freed) in this order:
+        // built and dropped per sweep run, other orders measured up to 2×
+        // the page faults on fig6, as the allocator trimmed between runs.
+        let marks = vec![0; if cells == 0 { 0 } else { (n + 1) * n }];
+        let lost = vec![P::Lost::default(); cells];
+        pricing.allocate(cells);
         let mut pz = vec![0.0f64; cells];
         if n > 0 && cells > 0 {
             pz[tri(1, 0)] = 1.0;
         }
         SweepEvaluator {
             order,
-            passes: RecoveryPasses::new(wf, order, rec),
-            pricing,
-            ckpt: vec![false; n + 1],
+            passes,
+            ckpt,
             evaluated: false,
-            marks: vec![0; if cells == 0 { 0 } else { (n + 1) * n }],
-            lost: vec![P::Lost::default(); cells],
+            marks,
+            lost,
+            pricing,
             pz,
             per_position: vec![0.0; n],
             time_before: vec![0.0; n + 2],

@@ -1007,15 +1007,8 @@ pub fn select_storage(
             }
         }
     }
-    (
-        sweep
-            .evaluator()
-            .tiers()
-            .expect("storage attached")
-            .to_vec(),
-        best_e,
-        evaluated,
-    )
+    let tiers = sweep.evaluator().tiers().expect("storage attached");
+    (tiers.to_vec(), best_e, evaluated)
 }
 
 #[cfg(test)]
